@@ -171,13 +171,17 @@ FLEET_STRESS_SCOPE = dict(
     touchers=3,
     duration_ms=8,
 )
+#: The case's boot seed, which also draws each driver's offset into the
+#: remote-toucher rotation. Reports record it: a baseline without it
+#: predates the offsets and ran another op sequence.
+FLEET_STRESS_SEED = 7
 
 #: Required events/s advantage of the packed leg over the object-model
 #: leg at 960 cores, and the packed leg's absolute simulator-throughput
-#: floor. The sweep at this scale is list-indexed bitmask tests over the
-#: queues' parallel arrays with tabled pull costs and one batched LLC
-#: traffic add per sweep; the object model pays per-state sets, property
-#: calls and per-pull bound-method dispatch. Absolute rates swing with
+#: floor. At this scale the packed sweep drains a per-core inbox of small
+#: ints and counts cross-socket pulls by bisecting per-socket seq lists;
+#: the object model pays per-state sets, property calls and per-pull
+#: bound-method dispatch. Absolute rates swing with
 #: host phase, so the case times up to FLEET_FLOOR_ROUNDS packed rounds
 #: and gates on the best.
 FLEET_MIN_SPEEDUP = 1.5
@@ -750,7 +754,9 @@ def _openloop_stress_case() -> CaseResult:
 
 
 def run_fleet_stress(
-    packed: bool = True, scope: Optional[Dict[str, object]] = None
+    packed: bool = True,
+    scope: Optional[Dict[str, object]] = None,
+    seed: int = FLEET_STRESS_SEED,
 ) -> Dict[str, object]:
     """FLEET_STRESS_SCOPE's churn on the 960-core fleet box: every driver
     process pins a task to every core, then loops mmap / local write touch /
@@ -760,7 +766,11 @@ def run_fleet_stress(
     sequence, all three packed-representation escape hatches off. Returns
     the final ``StatsRegistry.summary()`` so the case can assert the legs
     are modelled identically. ``scope`` overrides FLEET_STRESS_SCOPE (the
-    CI fleet-smoke runs a shorter leg than the bench)."""
+    CI fleet-smoke runs a shorter leg than the bench). ``seed`` is the
+    boot seed and draws each driver's offset into the remote-toucher
+    rotation."""
+    import random
+
     from . import build_system
     from .mm.addr import PAGE_SIZE
     from .sim.engine import MSEC, AllOf, Timeout
@@ -771,12 +781,14 @@ def run_fleet_stress(
         if packed
         else dict(use_packed_tlb=False, use_frame_slabs=False, use_soa_states=False)
     )
-    system = build_system("latr", machine=scope["machine"], seed=7, **flags)
+    system = build_system("latr", machine=scope["machine"], seed=seed, **flags)
     kernel = system.kernel
     n_cores = len(kernel.machine.cores)
     n_drivers = scope["drivers"]
     n_pages = scope["pages"]
     n_touchers = scope["touchers"]
+    rotation = random.Random(seed)
+    offsets = [rotation.randrange(n_cores) for _ in range(n_drivers)]
     procs = [kernel.create_process(f"fleet{p}") for p in range(n_drivers)]
     tasks = [
         [kernel.spawn_thread(proc, f"fleet{p}.t{c}", c) for c in range(n_cores)]
@@ -798,7 +810,7 @@ def run_fleet_stress(
             # Remote cacheing cores rotate with the rep count so sweeps
             # keep pulling fresh cross-socket state lines.
             remote = [
-                tasks[p][(rep * 37 + i * 131 + home + 1) % n_cores]
+                tasks[p][(rep * 37 + i * 131 + home + 1 + offsets[p]) % n_cores]
                 for i in range(n_touchers)
             ]
             spawned = [
@@ -856,6 +868,7 @@ def _fleet_stress_case() -> CaseResult:
         extra={
             "sim_ms": FLEET_STRESS_SCOPE["duration_ms"],
             "drivers": FLEET_STRESS_SCOPE["drivers"],
+            "seed": FLEET_STRESS_SEED,
             "floor_rounds": rounds,
             "object_wall_s": round(wall_obj, 4),
             "speedup_vs_objects": round(speedup, 2),
@@ -983,10 +996,11 @@ def compare_to_previous(
             continue
         if any(
             prev.get(scale_key) != entry.get(scale_key)
-            # Quick and full runs use different stress sizes, and
-            # all-fast-parallel varies with the host CPU count; such
-            # wall-clocks are not comparable.
-            for scale_key in ("sim_ms", "jobs", "n_events", "ops", "mc_scope")
+            # Quick and full runs use different stress sizes,
+            # all-fast-parallel varies with the host CPU count, and a
+            # fleet-stress-960c report without a seed ran another op
+            # sequence; such wall-clocks are not comparable.
+            for scale_key in ("sim_ms", "jobs", "n_events", "ops", "mc_scope", "seed")
         ):
             continue
         prev_wall = prev.get("wall_s")

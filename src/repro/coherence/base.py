@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Generator, List, Optional, Set
 
 from ..mm.addr import VirtRange
 from ..mm.mmstruct import MmStruct
@@ -146,16 +146,27 @@ class TLBCoherence:
         idle cores are skipped and instead flagged to full-flush on wake, so
         no mechanism ever interrupts an idle core.
         """
+        return self._cores_of(sorted(self._target_set(initiator, mm)))
+
+    def _target_set(self, initiator: "Core", mm: MmStruct) -> Set[int]:
+        """:meth:`select_targets` as a set of core ids: the mm's cpumask
+        minus the initiator and the machine's lazy-TLB cores, in set
+        arithmetic rather than a per-core loop (an mm on the fleet box is
+        live on hundreds of cores)."""
         machine = self.kernel.machine
-        targets = []
-        for core_id in mm.shootdown_targets(initiator.id):
-            core = machine.core(core_id)
-            if core.lazy_tlb_mode:
-                core.needs_flush_on_wake = True
-                self._stats.counter("shootdown.idle_skipped").add()
-                continue
-            targets.append(core)
-        return targets
+        others = mm.cpumask.difference((initiator.id,))
+        idle = others.intersection(machine.lazy_cores)
+        if idle:
+            cores = machine.cores
+            for core_id in idle:
+                cores[core_id].needs_flush_on_wake = True
+            self._stats.counter("shootdown.idle_skipped").add(len(idle))
+            others -= idle
+        return others
+
+    def _cores_of(self, core_ids: List[int]) -> List["Core"]:
+        cores = self.kernel.machine.cores
+        return [cores[core_id] for core_id in core_ids]
 
     def local_invalidate(self, core: "Core", mm: MmStruct, vrange: VirtRange) -> int:
         """Invalidate the initiator's own TLB; returns the cost in ns."""

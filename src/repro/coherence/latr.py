@@ -21,30 +21,59 @@ The sweep hot path
 The *modelled* sweep visits every core's 64-slot queue (that is what the
 hardware-free design costs, and the ns cost model charges exactly that), but
 simulating it naively makes the simulator's inner loop O(cores^2 x
-queue_depth) per simulated millisecond -- on the 8-socket/120-core box the
-empty sweep dominates wall-clock. Like numaPTE's observation that tracking
-*where* translations live turns broadcast work into targeted work, the
-simulator keeps an **active-state index**:
+queue_depth) per simulated millisecond. Like numaPTE's observation that
+tracking *where* translations live turns broadcast work into targeted work,
+the simulator pushes each state to the cores that must act on it instead of
+having every core search for it:
 
 * a global count of active states -- the empty sweep (the common case)
-  returns the base cost in O(1);
-* per-queue active counts (maintained by ``LatrStateQueue.post`` and the
-  notifying ``LatrState.active`` property) -- sweeps skip empty queues;
-* a per-core "last swept seq" cursor -- a repeat sweep never re-examines a
-  state it already cleared itself from, because a state posted before this
-  core's previous sweep can no longer carry this core's bitmask bit (the
-  bitmask only shrinks and ``active`` is monotone).
+  returns the base cost in O(1), and a non-empty one charges its per-entry
+  examination from the count alone;
+* a per-core "last swept seq" cursor, set to the newest posted seq by every
+  sweep;
+* a per-core **inbox**: posting makes the state's global slot id
+  (``owner_core << slot_bits | slot``, which sorts into the full scan's
+  visit order) pending at each target core, and the queue's
+  ``_remaining_a`` records how many targets have yet to sweep it. A
+  narrow state (at most half the machine) is appended to each target's
+  inbox list. A wide one goes once into a seq-ordered wide log, plus the
+  exclusion set of each core it does not target: a core's share of the
+  log is the tail after its cursor, minus its exclusions, so a post costs
+  the smaller side of its mask. A sweep drains only what is pending at
+  its core, so a (core, state) pair costs the simulator one small-int
+  decrement instead of a test and a clear on a machine-wide int bitmask;
+* per-owner-socket sorted seq lists of the active states. A sweep pays a
+  cross-socket pull for every active remote-socket state posted after its
+  cursor -- a bisect per socket. The cursor is what retires the per-state
+  pulled bits: a state posted after a core's cursor was never examined by
+  that core, so it cannot have been pulled there yet.
 
-The index changes *no modelled result*: every ns cost, counter, latency and
+A posted state's ``cpu_bitmask`` is never cleared bit by bit: it reads as
+its targeted mask restricted to the cores whose cursor is still below its
+seq (:meth:`LatrCoherence.live_mask`), which is exact because a sweep moves
+its cursor past every state it drains.
+
+Side effects keep the full scan's order. ``Signal.succeed`` runs waiters
+inline, so a ``done`` callback can resume a process in the middle of a
+sweep: deferred migration PTE changes, per-page invalidations and
+deactivations therefore run over the drained ids sorted into full-scan
+order. The sweep stays pure stdlib: numpy would cost more to import than
+the whole set-up of a small run.
+
+None of this changes a modelled result: every ns cost, counter, latency and
 experiment row is bit-for-bit identical to the full scan (gated by the
-differential fuzzer and ``tests/test_sweep_index.py``). Construct with
-``use_sweep_index=False`` to force the original full scan -- the benchmark
-harness uses that as its pre-index wall-clock baseline.
+differential fuzzer, ``tests/test_sweep_index.py`` and the fleet smoke).
+``use_sweep_index=False`` forces the original full scan, and
+``use_soa_states=False`` the object-model indexed sweep
+(:meth:`LatrCoherence._sweep_indexed`); both stay as the references the
+differential tests compare against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right, insort
+from itertools import compress, filterfalse
+from typing import Callable, Dict, Generator, List, Optional, Set
 
 from ..mm.addr import PAGE_SHIFT, VirtRange
 from ..mm.frames import FrameBatch
@@ -65,6 +94,17 @@ from .states import (
 
 #: Cacheline cost of one state record (68 B spans two 64 B lines).
 STATE_LINES = 2
+
+#: ``bin()`` digits to the 0/1 bytes ``itertools.compress`` selects with.
+_BIN_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits_of(mask: int):
+    """Set bit positions of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class LatrCoherence(TLBCoherence):
@@ -100,6 +140,8 @@ class LatrCoherence(TLBCoherence):
         #: (stats, canonical hashes); only the simulator's wall-clock differs.
         self.use_soa_states = use_soa_states
         self._state_cls = SoaLatrState if use_soa_states else LatrState
+        #: The inbox sweep runs over the packed queues with the index on.
+        self._packed = use_soa_states and use_sweep_index
         self.queues: Dict[int, LatrStateQueue] = {}
         #: Extra per-sweep cost for cache-thrashing applications whose state
         #: queue lines never stay resident (workload profiles set this; the
@@ -117,6 +159,7 @@ class LatrCoherence(TLBCoherence):
         self._last_posted_seq = 0
         #: core id -> last posted seq observed at that core's previous sweep.
         self._sweep_cursor: Dict[int, int] = {}
+        # --- the object-model sweep's index ---
         #: Core ids whose queues currently hold active states; sweeps visit
         #: only these (in core-id order, matching the full scan's order).
         self._active_queue_ids: set = set()
@@ -125,12 +168,22 @@ class LatrCoherence(TLBCoherence):
         #: changes on a post or a final deactivation, which happen orders
         #: of magnitude less often than the per-tick sweeps that read it.
         self._active_states_sorted: Optional[List[LatrState]] = None
-        #: SoA sweep row cache: (seq, owner socket, queue, slot, state)
-        #: tuples for ``_active_states_sorted``, keyed on that list's
-        #: *identity* (every invalidation path -- post, deactivate,
-        #: snapshot restore -- installs a fresh list object).
-        self._soa_sweep_rows: Optional[list] = None
-        self._soa_rows_src: Optional[list] = None
+        # --- the inbox sweep's index (packed queues; see the module doc) ---
+        #: core id -> global slot ids of the narrow states (targeting at
+        #: most half the machine) it still has to sweep.
+        self._inboxes: List[List[int]] = []
+        #: The active wide states (targeting more than half the machine),
+        #: in posting order: their seqs and global slot ids.
+        self._wide_seqs: List[int] = []
+        self._wide_gids: List[int] = []
+        #: core id -> global slot ids of the active wide states it does
+        #: not have to sweep (not targeted, or cleared explicitly).
+        self._excluded: Dict[int, set] = {}
+        #: socket -> sorted seqs of the active states its cores posted.
+        self._socket_seqs: List[List[int]] = []
+        #: Global slot ids of posted MIGRATION states whose PTE change is
+        #: still deferred (a superset: the queue's flags are authoritative).
+        self._unapplied: set = set()
 
     # ---- wiring ---------------------------------------------------------------
 
@@ -148,6 +201,19 @@ class LatrCoherence(TLBCoherence):
         self._sweep_cursor = {}
         self._active_queue_ids = set()
         self._active_states_sorted = None
+        n_cores = len(self.queues)
+        self._queue_list = [self.queues[c] for c in range(n_cores)]
+        self._inboxes = [[] for _ in range(n_cores)]
+        self._wide_seqs = []
+        self._wide_gids = []
+        self._excluded = {}
+        self._socket_seqs = [[] for _ in range(kernel.machine.spec.sockets)]
+        self._unapplied = set()
+        #: A global slot id is ``owner_core << _slot_bits | slot``.
+        self._slot_bits = (self.queue_depth - 1).bit_length()
+        self._slot_mask = (1 << self._slot_bits) - 1
+        #: Every core's bit (a wide state's exclusions are its complement).
+        self._full_mask = (1 << n_cores) - 1
         # The sweep fires on every tick and context switch: resolve its
         # stats objects and timing constants once instead of going through
         # the registry / the machine attribute chain each time.
@@ -169,15 +235,14 @@ class LatrCoherence(TLBCoherence):
         self._state_pull = lat.latr_state_pull
         self._core_hops = machine.topology.core_hops
         self._record_state_traffic = machine.llc.record_state_traffic
-        # SoA sweep fast-path tables: the topology's socket map / hop rows
-        # and the pull cost per (clamped) hop count, so the per-state loop
-        # does plain list indexing instead of bound-method calls.
+        # Inbox sweep tables: the topology's socket map and, per sweeping
+        # socket, (remote socket, pull cost) for every socket a hop away.
         topo = machine.topology
         self._socket_of = topo._socket_of
-        self._hop_rows = topo._hops
-        self._pull_ns_by_hops = tuple(lat.latr_state_pull(h) for h in range(3))
-        self._soa_sweep_rows = None
-        self._soa_rows_src = None
+        self._remote_pull_ns = [
+            [(other, lat.latr_state_pull(hops)) for other, hops in enumerate(row) if hops]
+            for row in topo._hops
+        ]
 
     def start(self) -> None:
         """Spawn the background reclamation daemon (kernel.start calls this)."""
@@ -191,18 +256,149 @@ class LatrCoherence(TLBCoherence):
     def note_posted(self, queue: LatrStateQueue, state: LatrState) -> None:
         """A queue accepted an active state (called by ``LatrStateQueue.post``)."""
         self._active_state_count += 1
-        self._active_queue_ids.add(queue.core_id)
-        self._active_states_sorted = None
         if state.seq > self._last_posted_seq:
             self._last_posted_seq = state.seq
+        if not self._packed:
+            self._active_queue_ids.add(queue.core_id)
+            self._active_states_sorted = None
+            return
+        idx = state.slot_idx
+        gid = queue.core_id << self._slot_bits | idx
+        mask = queue._mask_a[idx]
+        queue._remaining_a[idx] = mask.bit_count()
+        self._fan_out(gid, state.seq, mask)
+        insort(self._socket_seqs[self._socket_of[queue.core_id]], state.seq)
+        flags = queue._flags_a[idx]
+        if flags & SOA_MIGRATION and not flags & SOA_PTE_APPLIED:
+            self._unapplied.add(gid)
+
+    def _fan_out(self, gid: int, seq: int, mask: int) -> None:
+        """Make the state pending at every core in ``mask``. A narrow state
+        goes to each target's inbox. A wide one goes to the wide log once,
+        and to the exclusion set of each core it does not target: per
+        post, the work is the smaller side of the mask."""
+        if 2 * mask.bit_count() <= len(self._inboxes):
+            digits = bin(mask)[:1:-1].encode().translate(_BIN_DIGITS)
+            for inbox in compress(self._inboxes, digits):
+                inbox.append(gid)
+            return
+        at = bisect_right(self._wide_seqs, seq)
+        self._wide_seqs.insert(at, seq)
+        self._wide_gids.insert(at, gid)
+        for core_id in _bits_of(self._full_mask ^ mask):
+            self._excluded.setdefault(core_id, set()).add(gid)
+
+    def _wide_at(self, seq: int) -> int:
+        """Position of ``seq`` in the wide log, or -1 for a narrow state."""
+        at = bisect_left(self._wide_seqs, seq)
+        if at < len(self._wide_seqs) and self._wide_seqs[at] == seq:
+            return at
+        return -1
+
+    def _unexclude(self, core_id: int, gid: int) -> None:
+        excluded = self._excluded[core_id]
+        excluded.discard(gid)
+        if not excluded:
+            del self._excluded[core_id]
 
     def note_deactivated(self, queue: LatrStateQueue, state: LatrState) -> None:
         """A posted state went inactive (via the ``LatrState.active`` setter)."""
         if self._active_state_count > 0:
             self._active_state_count -= 1
-        if queue.active_count == 0:
-            self._active_queue_ids.discard(queue.core_id)
-        self._active_states_sorted = None
+        if not self._packed:
+            if queue.active_count == 0:
+                self._active_queue_ids.discard(queue.core_id)
+            self._active_states_sorted = None
+            return
+        idx = state.slot_idx
+        gid = queue.core_id << self._slot_bits | idx
+        mask = queue._mask_a[idx]
+        wide_at = self._wide_at(state.seq)
+        if wide_at >= 0:
+            del self._wide_seqs[wide_at]
+            del self._wide_gids[wide_at]
+            for core_id in _bits_of(self._full_mask ^ mask):
+                self._unexclude(core_id, gid)
+        if queue._remaining_a[idx]:
+            # Retired before every target swept it (a fallback, a mutation,
+            # a test): freeze the mask it reads as now and drop the
+            # targets' pending inbox entries.
+            live = self._pending_mask(mask, state.seq)
+            if wide_at < 0:
+                for core_id in _bits_of(live):
+                    inbox = self._inboxes[core_id]
+                    if gid in inbox:
+                        inbox.remove(gid)
+            queue._remaining_a[idx] = 0
+            queue._mask_a[idx] = live
+        else:
+            queue._mask_a[idx] = 0
+        seqs = self._socket_seqs[self._socket_of[queue.core_id]]
+        at = bisect_left(seqs, state.seq)
+        if at < len(seqs) and seqs[at] == state.seq:
+            del seqs[at]
+        self._unapplied.discard(gid)
+
+    # ---- the cpu mask of a posted packed state ------------------------------------
+
+    def _pending_mask(self, mask: int, seq: int) -> int:
+        """``mask`` restricted to the cores whose cursor is below ``seq``."""
+        for core_id, cursor in self._sweep_cursor.items():
+            if cursor >= seq:
+                mask &= ~(1 << core_id)
+        return mask
+
+    def live_mask(self, queue: SoaLatrQueue, idx: int) -> int:
+        """The ``cpu_bitmask`` of the state in ``queue``'s slot ``idx``.
+
+        Under the inbox sweep an active state's stored mask keeps the bits
+        of the targets that already swept it; those targets' cursors are at
+        or past its seq, so the mask it reads as is the stored one
+        restricted to the cores whose cursor is still below its seq. An
+        inactive state's stored mask is frozen at deactivation."""
+        mask = queue._mask_a[idx]
+        if not self._packed or not queue._flags_a[idx] & SOA_ACTIVE:
+            return mask
+        return self._pending_mask(mask, queue._seq_a[idx])
+
+    def set_live_mask(self, queue: SoaLatrQueue, idx: int, mask: int) -> None:
+        """Write the ``cpu_bitmask`` of ``queue``'s slot ``idx``. A posted
+        state under the inbox sweep may only lose cores: a target that
+        already swept it cannot be asked to sweep it again."""
+        if not self._packed or not queue._flags_a[idx] & SOA_ACTIVE:
+            queue._mask_a[idx] = mask
+            return
+        live = self.live_mask(queue, idx)
+        if mask & ~live:
+            raise ValueError("a posted LATR state's cpu mask can only shrink")
+        for core_id in _bits_of(live & ~mask):
+            self._unpost(queue, idx, core_id)
+
+    def _unpost(self, queue: SoaLatrQueue, idx: int, core_id: int) -> None:
+        """``core_id`` no longer has to sweep the active state in ``idx``."""
+        queue._mask_a[idx] &= ~(1 << core_id)
+        queue._remaining_a[idx] -= 1
+        gid = queue.core_id << self._slot_bits | idx
+        if self._wide_at(queue._seq_a[idx]) >= 0:
+            self._excluded.setdefault(core_id, set()).add(gid)
+            return
+        inbox = self._inboxes[core_id]
+        if gid in inbox:
+            inbox.remove(gid)
+
+    def clear_cpu(self, queue: SoaLatrQueue, idx: int, core_id: int, now: int) -> bool:
+        """:meth:`LatrState.clear_cpu` for ``queue``'s slot ``idx``."""
+        live = self.live_mask(queue, idx)
+        if live >> core_id & 1:
+            live ^= 1 << core_id
+            if self._packed and queue._flags_a[idx] & SOA_ACTIVE:
+                self._unpost(queue, idx, core_id)
+            else:
+                queue._mask_a[idx] = live
+        if live == 0 and queue._flags_a[idx] & SOA_ACTIVE:
+            self._complete(queue._slots[idx], now)
+            return True
+        return False
 
     def active_state_count(self) -> int:
         """Posted, still-active states across all queues (index invariant:
@@ -221,8 +417,8 @@ class LatrCoherence(TLBCoherence):
     ) -> Generator:
         start = self.kernel.sim.now
         yield from core.execute(self.local_invalidate(core, mm, vrange))
-        targets = self.select_targets(core, mm)
-        if not targets:
+        target_ids = self._target_set(core, mm)
+        if not target_ids:
             # No remote core can cache these translations; the local TLB is
             # already clean, so immediate reuse is safe (same as Linux's
             # no-IPI path). Still one initiated free-class shootdown, so the
@@ -236,12 +432,7 @@ class LatrCoherence(TLBCoherence):
             self._stats.latency("shootdown.free").record(self.kernel.sim.now - start)
             return
 
-        if self.use_soa_states:
-            bitmask = 0
-            for t in targets:
-                bitmask |= 1 << t.id
-        else:
-            bitmask = {t.id for t in targets}
+        bitmask = self._mask_of(target_ids) if self.use_soa_states else set(target_ids)
         state = self._state_cls(
             vrange=vrange,
             mm=mm,
@@ -259,6 +450,7 @@ class LatrCoherence(TLBCoherence):
             self._stats.counter("latr.fallback_ipi").add()
             self._stats.counter("shootdown.initiated").add()
             self._stats.rate("shootdowns").hit()
+            targets = self._cores_of(sorted(target_ids))
             yield from self.ipi_round(core, mm, vrange, targets, ShootdownReason.FALLBACK)
             yield from core.execute(FrameBatch.units_of(pfns) * self._lat.page_free_ns)
             self.kernel.release_frames(pfns)
@@ -272,7 +464,7 @@ class LatrCoherence(TLBCoherence):
         if self.kernel.tracer is not None:
             self.kernel.tracer.emit(
                 "latr", "state.post", core=core.id,
-                detail=f"pages={vrange.n_pages} targets={len(targets)}",
+                detail=f"pages={vrange.n_pages} targets={len(target_ids)}",
             )
         mm.defer_frames(state.pfns)
         if vrange_to_free is not None:
@@ -294,18 +486,16 @@ class LatrCoherence(TLBCoherence):
         vrange: VirtRange,
         apply_pte_change: Callable[[], None],
     ) -> Generator:
-        targets = self.select_targets(core, mm)
+        target_ids = self._target_set(core, mm)
         if self.use_soa_states:
-            bitmask = 0
-            for t in targets:
-                bitmask |= 1 << t.id
+            bitmask = self._mask_of(target_ids)
             # The initiator participates too: its own TLB is invalidated at
             # its next tick, after the first sweeper applied the PTE change
             # (paper Figure 3b includes both cores in the bitmask).
             if not core.lazy_tlb_mode:
                 bitmask |= 1 << core.id
         else:
-            bitmask = {t.id for t in targets}
+            bitmask = set(target_ids)
             if not core.lazy_tlb_mode:
                 bitmask.add(core.id)
         state = self._state_cls(
@@ -344,6 +534,7 @@ class LatrCoherence(TLBCoherence):
             apply_pte_change()
             state.pte_applied = True
             yield from core.execute(self.local_invalidate(core, mm, vrange))
+            targets = self._cores_of(sorted(target_ids))
             yield from self.ipi_round(core, mm, vrange, targets, ShootdownReason.FALLBACK)
             state.cpu_bitmask.clear()
             state.completed_at = self.kernel.sim.now
@@ -366,6 +557,12 @@ class LatrCoherence(TLBCoherence):
         self._stats.rate("shootdowns").hit()
         return state.done
 
+    @staticmethod
+    def _mask_of(core_ids: Set[int]) -> int:
+        """Int bitmask of distinct ``core_ids`` (a sum of distinct powers
+        of two is their OR)."""
+        return sum(map((1).__lshift__, core_ids))
+
     def _record_lazy_migration_latency(self, sig: Signal) -> None:
         state = sig.value
         completed_at = state.completed_at
@@ -386,18 +583,175 @@ class LatrCoherence(TLBCoherence):
     def sweep(self, core) -> int:
         """Sweep all cores' queues from ``core``; returns the cost in ns.
 
-        Cost model is Table 5's 158 ns base (the states are contiguous and
+        The one entry point of tick and context-switch sweeps alike. Cost
+        model is Table 5's 158 ns base (the states are contiguous and
         prefetched) plus per-active-entry examination, a cacheline pull the
         first time this core reads a state written on another socket, and
-        the local invalidation work for matching entries. The indexed and
-        full implementations charge identical costs; only the simulator's
-        own wall-clock differs.
+        the local invalidation work for matching entries. The inbox,
+        object-model indexed and full implementations charge identical
+        costs; only the simulator's own wall-clock differs.
         """
+        if self._packed:
+            return self._sweep_inbox(core)
         if self.use_sweep_index:
-            if self.use_soa_states:
-                return self._sweep_indexed_soa(core)
             return self._sweep_indexed(core)
         return self._sweep_full(core)
+
+    def _sweep_inbox(self, core) -> int:
+        """The sweep over the packed queues: charges what
+        :meth:`_sweep_indexed` charges, from the active count, the
+        per-socket seq lists and this core's inbox (see the module doc)."""
+        cost = self._sweep_base_ns + self.cold_sweep_extra_ns
+        examined = self._active_state_count
+        if examined == 0:
+            self._sweeps_counter.value += 1
+            self._sweep_latency.record(cost)
+            kernel = self.kernel
+            if kernel.invariant_monitor is not None:
+                kernel.invariant_monitor.notify("latr.sweep", core=core.id)
+            return cost
+
+        cost += examined * self._sweep_per_entry_ns
+        core_id = core.id
+        cursor = self._sweep_cursor.get(core_id, 0)
+        # Every active state posted after the cursor is new to this core:
+        # one cacheline pull each from a remote socket.
+        pulls = 0
+        socket_seqs = self._socket_seqs
+        for socket, pull_ns in self._remote_pull_ns[self._socket_of[core_id]]:
+            seqs = socket_seqs[socket]
+            if seqs and seqs[-1] > cursor:
+                n = len(seqs) - bisect_right(seqs, cursor)
+                pulls += n
+                cost += n * pull_ns
+        if pulls:
+            self._record_state_traffic(STATE_LINES * pulls)
+        self._sweep_cursor[core_id] = self._last_posted_seq
+        inbox = self._take_inbox(core_id, cursor)
+        if inbox:
+            cost = self._drain(core, inbox, cost)
+
+        self._sweeps_counter.value += 1
+        kernel = self.kernel
+        if inbox:
+            if kernel.tracer is not None:
+                kernel.tracer.emit(
+                    "latr", "sweep", core=core_id,
+                    detail=f"states={len(inbox)} pages={self._pages_of(inbox)}",
+                )
+            self._invalidated_counter.value += len(inbox)
+        self._examined_counter.value += examined
+        self._sweep_latency.record(cost)
+        if kernel.invariant_monitor is not None:
+            kernel.invariant_monitor.notify("latr.sweep", core=core_id)
+        return cost
+
+    def _take_inbox(self, core_id: int, cursor: int) -> List[int]:
+        """The global slot ids of every state posted to ``core_id`` since
+        its ``cursor``: its inbox, handed over (a fresh one takes its place,
+        so a state posted by a process this sweep resumes belongs to the
+        next sweep), plus the wide states after the cursor that do not
+        exclude it."""
+        inbox = self._inboxes[core_id]
+        if inbox:
+            self._inboxes[core_id] = []
+        wide_seqs = self._wide_seqs
+        if not wide_seqs or wide_seqs[-1] <= cursor:
+            return inbox
+        wide = self._wide_gids[bisect_right(wide_seqs, cursor):]
+        excluded = self._excluded.get(core_id)
+        if excluded:
+            wide = list(filterfalse(excluded.__contains__, wide))
+        if not inbox:
+            return wide
+        inbox += wide
+        return inbox
+
+    def _drain(self, core, inbox: List[int], cost: int) -> int:
+        """Apply, invalidate and retire the states in ``inbox`` (global
+        slot ids, all addressed to ``core``); returns ``cost`` plus the
+        work charged here."""
+        if self._unapplied and not self._unapplied.isdisjoint(inbox):
+            inbox.sort()
+            cost += self._apply_deferred_migrations(inbox)
+        n = len(inbox)
+        threshold = self._full_flush_threshold
+        # Every state spans at least one page, so more states than the
+        # threshold always means a full flush.
+        if n > threshold or self._pages_of(inbox) > threshold:
+            core.tlb.flush()
+            inbox.sort()
+            self._retire_in_order(inbox)
+            return cost + self._full_flush_ns + n * 30
+        inbox.sort()
+        tlb = core.tlb
+        invlpg_ns = self._invlpg_ns
+        queues = self._queue_list
+        bits = self._slot_bits
+        slot_mask = self._slot_mask
+        now = self._sim.now
+        for gid in inbox:
+            queue = queues[gid >> bits]
+            idx = gid & slot_mask
+            vpn = queue._vpn_a[idx]
+            npages = queue._npages_a[idx]
+            tlb.invalidate_range(queue._slots[idx].mm.pcid, vpn, vpn + npages)
+            cost += npages * invlpg_ns + 30
+            counts = queue._remaining_a
+            counts[idx] -= 1
+            if not counts[idx] and queue._flags_a[idx] & SOA_ACTIVE:
+                self._complete(queue._slots[idx], now)
+        return cost
+
+    def _apply_deferred_migrations(self, inbox: List[int]) -> int:
+        """First sweeper applies the deferred PTE changes ("Clear PTE" in
+        Figure 3b) of the migrations in ``inbox``, in full-scan order;
+        returns the PTE-write cost."""
+        cost = 0
+        unapplied = self._unapplied
+        queues = self._queue_list
+        for gid in inbox:
+            if gid not in unapplied:
+                continue
+            unapplied.discard(gid)
+            queue = queues[gid >> self._slot_bits]
+            idx = gid & self._slot_mask
+            flags = queue._flags_a[idx]
+            if flags & SOA_MIGRATION and not flags & SOA_PTE_APPLIED:
+                queue._flags_a[idx] = flags | SOA_PTE_APPLIED
+                queue._slots[idx].apply_pte_change()
+                cost += queue._npages_a[idx] * self._lat.pte_set_ns
+        return cost
+
+    def _retire_in_order(self, inbox: List[int]) -> None:
+        """One sweeper fewer for every state in ``inbox`` (sorted into
+        full-scan order); the last one deactivates it."""
+        queues = self._queue_list
+        bits = self._slot_bits
+        slot_mask = self._slot_mask
+        now = self._sim.now
+        for gid in inbox:
+            queue = queues[gid >> bits]
+            idx = gid & slot_mask
+            counts = queue._remaining_a
+            counts[idx] -= 1
+            if not counts[idx] and queue._flags_a[idx] & SOA_ACTIVE:
+                self._complete(queue._slots[idx], now)
+
+    @staticmethod
+    def _complete(state, now: int) -> None:
+        """The last sweeper deactivates the state (paper Figure 5 step 3).
+        completed_at goes first: the deactivation notification and the done
+        callbacks may read it."""
+        state.completed_at = now
+        state.active = False
+        state.done.succeed(state)
+
+    def _pages_of(self, inbox: List[int]) -> int:
+        queues = self._queue_list
+        bits = self._slot_bits
+        slot_mask = self._slot_mask
+        return sum(queues[gid >> bits]._npages_a[gid & slot_mask] for gid in inbox)
 
     def _sweep_indexed(self, core) -> int:
         cost = self._sweep_base_ns + self.cold_sweep_extra_ns
@@ -453,84 +807,6 @@ class LatrCoherence(TLBCoherence):
             total_pages += (vrange.end - vrange.start) >> PAGE_SHIFT
         self._sweep_cursor[core.id] = self._last_posted_seq
         return self._finish_sweep(core, matching, total_pages, cost, examined)
-
-    def _sweep_indexed_soa(self, core) -> int:
-        """The indexed sweep over the struct-of-arrays queues: identical
-        visit order, costs and counters to :meth:`_sweep_indexed`, but the
-        per-state checks are int-bitmask tests against the queue's parallel
-        arrays, hop pull costs come from precomputed tables, and LLC state
-        traffic is recorded once per sweep (the counters are pure sums, so
-        one batched add of ``STATE_LINES * pulls`` equals the object
-        model's per-pull adds)."""
-        cost = self._sweep_base_ns + self.cold_sweep_extra_ns
-        examined = self._active_state_count
-        if examined == 0:
-            self._sweeps_counter.value += 1
-            self._sweep_latency.record(cost)
-            kernel = self.kernel
-            if kernel.invariant_monitor is not None:
-                kernel.invariant_monitor.notify("latr.sweep", core=core.id)
-            return cost
-
-        cost += examined * self._sweep_per_entry_ns
-        core_id = core.id
-        cursor = self._sweep_cursor.get(core_id, 0)
-        socket_of = self._socket_of
-        states = self._active_states_sorted
-        if states is None:
-            queues = self.queues
-            states = [
-                state
-                for queue_id in sorted(self._active_queue_ids)
-                for state in queues[queue_id].active_states_after(-1)
-            ]
-            self._active_states_sorted = states
-        # The per-state immutable fields (seq, owner socket, queue, slot)
-        # flattened into tuples: rebuilt only when the active set changes,
-        # then shared by every sweeping core in between.
-        rows = self._soa_sweep_rows
-        if self._soa_rows_src is not states:
-            rows = [
-                (s.seq, socket_of[s.owner_core], s.queue, s.slot_idx, s)
-                for s in states
-            ]
-            self._soa_sweep_rows = rows
-            self._soa_rows_src = states
-        matching: list = []
-        total_pages = 0
-        core_bit = 1 << core_id
-        hop_row = self._hop_rows[socket_of[core_id]]
-        pull_ns = self._pull_ns_by_hops
-        pte_set_ns = self._lat.pte_set_ns
-        pulls = 0
-        for row in rows:
-            # Cursor skip on row[0] (seq) alone: states already examined at
-            # this core's previous sweep are the common case.
-            if row[0] <= cursor:
-                continue
-            queue = row[2]
-            idx = row[3]
-            hops = hop_row[row[1]]
-            if hops:
-                pulled_a = queue._pulled_a
-                if not pulled_a[idx] & core_bit:
-                    pulled_a[idx] |= core_bit
-                    pulls += 1
-                    cost += pull_ns[hops]
-            if not queue._mask_a[idx] & core_bit:
-                continue
-            flags_a = queue._flags_a
-            flags = flags_a[idx]
-            if flags & SOA_MIGRATION and not flags & SOA_PTE_APPLIED:
-                flags_a[idx] = flags | SOA_PTE_APPLIED
-                row[4].apply_pte_change()
-                cost += queue._npages_a[idx] * pte_set_ns
-            matching.append(row)
-            total_pages += queue._npages_a[idx]
-        if pulls:
-            self._record_state_traffic(STATE_LINES * pulls)
-        self._sweep_cursor[core_id] = self._last_posted_seq
-        return self._finish_sweep_soa(core, matching, total_pages, cost, examined)
 
     def _sweep_full(self, core) -> int:
         """The original scan: every queue, every slot (pre-index baseline)."""
@@ -618,76 +894,12 @@ class LatrCoherence(TLBCoherence):
             kernel.invariant_monitor.notify("latr.sweep", core=core.id)
         return cost
 
-    def _finish_sweep_soa(
-        self,
-        core,
-        matching: list,
-        total_pages: int,
-        cost: int,
-        examined: int,
-    ) -> int:
-        """:meth:`_finish_sweep` over SoA sweep rows: the invalidate/clear
-        pass works the queue arrays directly instead of going through the
-        handle's ``clear_cpu`` property machinery. Costs, counters, and the
-        deactivation protocol (completed_at before ``active``, then the
-        done signal) are identical."""
-        invalidated_states = len(matching)
-        if invalidated_states:
-            now = self._sim.now
-            keep_mask = ~(1 << core.id)
-            if total_pages > self._full_flush_threshold:
-                core.tlb.flush()
-                cost += self._full_flush_ns + invalidated_states * 30
-                for _seq, _socket, queue, idx, state in matching:
-                    mask = queue._mask_a[idx] & keep_mask
-                    queue._mask_a[idx] = mask
-                    if mask == 0 and queue._flags_a[idx] & SOA_ACTIVE:
-                        state.completed_at = now
-                        state.active = False
-                        state.done.succeed(state)
-            else:
-                tlb = core.tlb
-                invlpg_ns = self._invlpg_ns
-                for _seq, _socket, queue, idx, state in matching:
-                    vpn = queue._vpn_a[idx]
-                    npages = queue._npages_a[idx]
-                    tlb.invalidate_range(state.mm.pcid, vpn, vpn + npages)
-                    cost += npages * invlpg_ns + 30
-                    mask = queue._mask_a[idx] & keep_mask
-                    queue._mask_a[idx] = mask
-                    if mask == 0 and queue._flags_a[idx] & SOA_ACTIVE:
-                        state.completed_at = now
-                        state.active = False
-                        state.done.succeed(state)
-        self._sweeps_counter.value += 1
-        kernel = self.kernel
-        if invalidated_states:
-            if kernel.tracer is not None:
-                kernel.tracer.emit(
-                    "latr", "sweep", core=core.id,
-                    detail=f"states={invalidated_states} pages={total_pages}",
-                )
-            self._invalidated_counter.value += invalidated_states
-        if examined:
-            self._examined_counter.value += examined
-        self._sweep_latency.record(cost)
-        if kernel.invariant_monitor is not None:
-            kernel.invariant_monitor.notify("latr.sweep", core=core.id)
-        return cost
-
     # ---- scheduler hooks ---------------------------------------------------------
 
     def on_tick(self, core) -> None:
         if self.sweep_on_tick:
-            # Inlined sweep() dispatch and steal_time (a bare increment):
-            # this is the per-tick hot path.
-            if self.use_sweep_index:
-                if self.use_soa_states:
-                    core._pending_interrupt_ns += self._sweep_indexed_soa(core)
-                else:
-                    core._pending_interrupt_ns += self._sweep_indexed(core)
-            else:
-                core._pending_interrupt_ns += self._sweep_full(core)
+            # steal_time inlined (a bare increment): the per-tick hot path.
+            core._pending_interrupt_ns += self.sweep(core)
 
     def on_context_switch(self, core, old_mm, new_mm) -> None:
         if self.sweep_on_context_switch:

@@ -23,16 +23,25 @@ Two queue representations share that contract:
 * :class:`SoaLatrQueue` + :class:`SoaLatrState` -- a struct-of-arrays layout
   (the paper's own: section 4.1 describes 64 packed 68-byte records per
   core, i.e. flat parallel arrays, not objects). Hot per-slot fields live in
-  parallel int lists / a flags bytearray on the queue -- seq, cpu mask and
-  pulled mask as int *bitmasks*, active/pte_applied/reclaimed/migration as
-  flag bits, base vpn / page count / post timestamp -- and the state object
-  shrinks to a ``__slots__`` handle that routes reads and writes to its slot
-  while posted. The handle exposes the complete ``LatrState`` API
-  (``cpu_bitmask`` and ``pulled_by`` are live set-like views over the int
+  parallel int lists / a flags bytearray on the queue -- seq, the cpu mask
+  as an int *bitmask*, active/pte_applied/reclaimed/migration as flag bits,
+  base vpn / page count / post timestamp, and the count of target cores
+  still to sweep the state -- and the state object shrinks to a
+  ``__slots__`` handle that routes reads and writes to its slot while
+  posted. The handle exposes the complete ``LatrState`` API
+  (``cpu_bitmask`` and ``pulled_by`` are live set-like views over int
   masks), so sweeps, mutations, snapshots, and the model checker's canonical
   hash see identical observable state either way; ``use_soa_states=False``
   on :class:`~repro.coherence.latr.LatrCoherence` is the escape hatch back
   to the object model.
+
+While a packed state is posted under a coherence index, its
+``cpu_bitmask`` is answered by that index (``SoaLatrQueue.index``): the
+inbox sweep never clears bits one core at a time, and the coherence knows
+which targeted cores have already swept the state (see
+:meth:`~repro.coherence.latr.LatrCoherence.live_mask`). ``pulled_by`` is
+bookkeeping of the reference sweeps only; the inbox sweep accounts
+cross-socket pulls without it.
 """
 
 from __future__ import annotations
@@ -245,8 +254,8 @@ class _MaskView:
     """Live set-of-core-ids view over an int bitmask field of a
     :class:`SoaLatrState` (``kind`` 0 = cpu_bitmask, 1 = pulled_by).
 
-    Reads and writes go through the state so they hit the queue's parallel
-    arrays while the state occupies a slot. Iteration yields ascending core
+    Reads and writes go through the state so the cpu mask resolves through
+    the queue while the state occupies a slot. Iteration yields ascending core
     ids -- the order ``sorted(set)`` would give -- so canonicalization and
     snapshots see exactly what the object model produces.
     """
@@ -319,11 +328,12 @@ class SoaLatrState:
     """Thin handle over one slot of a :class:`SoaLatrQueue`.
 
     Identity and cold fields (vrange, mm, done signal, pfns, the deferred
-    PTE callback) live on the handle; the hot mutable fields (cpu/pulled
-    masks, the active/pte_applied/reclaimed/migration flag bits) live in the
-    queue's parallel arrays while the state occupies its ring slot and are
-    frozen back onto the handle when the slot is recycled. API-compatible
-    with :class:`LatrState`, including the notifying monotone ``active``.
+    PTE callback, the pulled mask) live on the handle; the hot mutable
+    fields (the cpu mask, the active/pte_applied/reclaimed/migration flag
+    bits) live in the queue's parallel arrays while the state occupies its
+    ring slot and are frozen back onto the handle when the slot is
+    recycled. API-compatible with :class:`LatrState`, including the
+    notifying monotone ``active``.
     """
 
     __slots__ = (
@@ -394,24 +404,26 @@ class SoaLatrState:
     # ---- slot plumbing -------------------------------------------------------
 
     def _mask_get(self, kind: int) -> int:
+        if kind == 1:
+            return self._pulled_mask
         if self._attached:
             queue = self.queue
-            if kind == 0:
-                return queue._mask_a[self.slot_idx]
-            return queue._pulled_a[self.slot_idx]
-        return self._cpu_mask if kind == 0 else self._pulled_mask
+            if queue.index is not None:
+                return queue.index.live_mask(queue, self.slot_idx)
+            return queue._mask_a[self.slot_idx]
+        return self._cpu_mask
 
     def _mask_put(self, kind: int, mask: int) -> None:
-        if self._attached:
-            queue = self.queue
-            if kind == 0:
-                queue._mask_a[self.slot_idx] = mask
-            else:
-                queue._pulled_a[self.slot_idx] = mask
-        elif kind == 0:
-            self._cpu_mask = mask
-        else:
+        if kind == 1:
             self._pulled_mask = mask
+        elif self._attached:
+            queue = self.queue
+            if queue.index is not None:
+                queue.index.set_live_mask(queue, self.slot_idx, mask)
+            else:
+                queue._mask_a[self.slot_idx] = mask
+        else:
+            self._cpu_mask = mask
 
     def _flags_get(self) -> int:
         if self._attached:
@@ -430,7 +442,6 @@ class SoaLatrState:
         queue = self.queue
         idx = self.slot_idx
         self._cpu_mask = queue._mask_a[idx]
-        self._pulled_mask = queue._pulled_a[idx]
         self._flags = queue._flags_a[idx]
         self._attached = False
 
@@ -496,6 +507,8 @@ class SoaLatrState:
         if self._attached:
             queue = self.queue
             idx = self.slot_idx
+            if queue.index is not None:
+                return queue.index.clear_cpu(queue, idx, core_id, now)
             mask = queue._mask_a[idx] & ~(1 << core_id)
             queue._mask_a[idx] = mask
             if mask == 0 and queue._flags_a[idx] & SOA_ACTIVE:
@@ -519,11 +532,15 @@ class SoaLatrQueue:
 
     Same ring/full/notification contract as :class:`LatrStateQueue`, but the
     per-slot hot fields are parallel arrays indexed by slot: ``_seq_a``
-    (posting sequence, 0 = never used), ``_mask_a``/``_pulled_a`` (int core
-    bitmasks), ``_flags_a`` (a bytearray of SOA_* bits), ``_vpn_a``/
-    ``_npages_a`` (the virtual range) and ``_posted_a`` (post timestamps).
-    ``_slots`` keeps the state handles so existing observers (snapshots, the
-    model checker, mutations) walk the queue exactly as before.
+    (posting sequence, 0 = never used), ``_mask_a`` (int core bitmask),
+    ``_flags_a`` (a bytearray of SOA_* bits), ``_vpn_a``/``_npages_a`` (the
+    virtual range), ``_posted_a`` (post timestamps) and ``_remaining_a``
+    (target cores that still have to sweep the state; maintained by the
+    coherence index's inbox sweep, 0 otherwise). ``_slots`` keeps the state
+    handles so existing observers (snapshots, the model checker, mutations)
+    walk the queue exactly as before. ``index`` (when set) owns the cpu
+    mask of an attached state: reads, writes and ``clear_cpu`` go through
+    its ``live_mask`` / ``set_live_mask`` / ``clear_cpu``.
     """
 
     def __init__(self, core_id: int, depth: int = DEFAULT_QUEUE_DEPTH):
@@ -534,11 +551,11 @@ class SoaLatrQueue:
         self._slots: List[Optional[SoaLatrState]] = [None] * depth
         self._seq_a: List[int] = [0] * depth
         self._mask_a: List[int] = [0] * depth
-        self._pulled_a: List[int] = [0] * depth
         self._flags_a = bytearray(depth)
         self._vpn_a: List[int] = [0] * depth
         self._npages_a: List[int] = [0] * depth
         self._posted_a: List[int] = [0] * depth
+        self._remaining_a: List[int] = [0] * depth
         self._cursor = 0
         self.posts = 0
         self.full_rejections = 0
@@ -561,7 +578,6 @@ class SoaLatrQueue:
         self._slots[idx] = state
         self._seq_a[idx] = state.seq
         self._mask_a[idx] = state._cpu_mask
-        self._pulled_a[idx] = state._pulled_mask
         flags_a[idx] = state._flags
         vrange = state.vrange
         self._vpn_a[idx] = vrange.vpn_start

@@ -11,7 +11,7 @@ experiments.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Set
 
 from ..sim.engine import Simulator, Timeout
 from .tlb import Tlb
@@ -23,16 +23,24 @@ EXEC_QUANTUM_NS = 20_000
 class Core:
     """One CPU core: a TLB, an interrupt sink, and execution accounting."""
 
-    def __init__(self, core_id: int, socket: int, sim: Simulator, tlb: Tlb):
+    def __init__(
+        self,
+        core_id: int,
+        socket: int,
+        sim: Simulator,
+        tlb: Tlb,
+        lazy_cores: Optional[Set[int]] = None,
+    ):
         self.id = core_id
         self.socket = socket
         self.sim = sim
         self.tlb = tlb
         #: Task currently scheduled here (set by the scheduler); None == idle.
         self.current_task = None
-        #: Lazy-TLB idle mode (Linux's idle-core optimization, paper 2.3):
-        #: while set, the core asks not to receive shootdown IPIs and will
-        #: full-flush when it wakes.
+        #: Ids of the machine's cores in lazy-TLB mode, shared by all of its
+        #: cores: shootdown target selection subtracts it from an mm's
+        #: cpumask instead of asking every core.
+        self._lazy_cores: Set[int] = set() if lazy_cores is None else lazy_cores
         self.lazy_tlb_mode = False
         #: Deferred-flush flag: a shootdown was skipped while idle; flush on wake.
         self.needs_flush_on_wake = False
@@ -49,6 +57,22 @@ class Core:
     @property
     def idle(self) -> bool:
         return self.current_task is None
+
+    @property
+    def lazy_tlb_mode(self) -> bool:
+        """Lazy-TLB idle mode (Linux's idle-core optimization, paper 2.3):
+        while set, the core asks not to receive shootdown IPIs and will
+        full-flush when it wakes. Setting it keeps the machine-wide
+        lazy-core set exact."""
+        return self._lazy_tlb_mode
+
+    @lazy_tlb_mode.setter
+    def lazy_tlb_mode(self, value: bool) -> None:
+        self._lazy_tlb_mode = value = bool(value)
+        if value:
+            self._lazy_cores.add(self.id)
+        else:
+            self._lazy_cores.discard(self.id)
 
     def deliver_interrupt(self, handler_cost_ns: int) -> int:
         """An interrupt arrives now; returns the absolute completion time.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional, Set
 
 from ..sim.engine import Simulator
 from ..sim.stats import StatsRegistry
@@ -35,6 +35,9 @@ class Machine:
         self.stats = stats or StatsRegistry(sim, gate_latencies=gate_latencies)
         self.pcid_enabled = pcid_enabled
         self.topology = Topology(spec)
+        #: Ids of the cores currently in lazy-TLB mode. Only the
+        #: ``Core.lazy_tlb_mode`` setter and :meth:`set_lazy_flags` write it.
+        self.lazy_cores: Set[int] = set()
         self.cores: List[Core] = [
             Core(
                 core_id=c,
@@ -46,6 +49,7 @@ class Machine:
                     use_index=use_tlb_index,
                     use_packed=use_packed_tlb,
                 ),
+                lazy_cores=self.lazy_cores,
             )
             for c in range(spec.total_cores)
         ]
@@ -54,6 +58,17 @@ class Machine:
 
     def core(self, core_id: int) -> Core:
         return self.cores[core_id]
+
+    def set_lazy_flags(self, flags: Iterable[bool]) -> None:
+        """Set every core's lazy-TLB flag at once (``flags`` in core-id
+        order) and rebuild :attr:`lazy_cores` to match: a snapshot restore
+        writes the whole machine, not one ``Core.lazy_tlb_mode`` per core."""
+        lazy = self.lazy_cores
+        lazy.clear()
+        for core, flag in zip(self.cores, flags):
+            core._lazy_tlb_mode = flag
+            if flag:
+                lazy.add(core.id)
 
     @property
     def n_cores(self) -> int:

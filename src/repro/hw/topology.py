@@ -8,7 +8,7 @@ sockets and the direct cross link are one hop, everything else two.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from .spec import MachineSpec
 
@@ -20,6 +20,11 @@ class Topology:
         self.spec = spec
         self._socket_of: List[int] = [spec.socket_of(c) for c in range(spec.total_cores)]
         self._hops = self._build_socket_hops(spec.sockets)
+        #: Per socket, the ids of its cores.
+        self._socket_cores: List[frozenset] = [
+            frozenset(c for c, s in enumerate(self._socket_of) if s == socket)
+            for socket in range(spec.sockets)
+        ]
 
     @staticmethod
     def _build_socket_hops(sockets: int) -> List[List[int]]:
@@ -48,18 +53,23 @@ class Topology:
         """QPI hops between two cores (0 when on the same socket)."""
         return self._hops[self._socket_of[core_a]][self._socket_of[core_b]]
 
-    def sharer_hop_counts(self, core_id: int, sharers) -> Dict[int, int]:
+    def sharer_hop_counts(self, core_id: int, sharers: Set[int]) -> Dict[int, int]:
         """Histogram {hop distance: count} from ``core_id`` to every *other*
-        core in ``sharers``. Equivalent to counting ``core_hops(core_id, s)``
-        per sharer, but one pass over plain lists -- rmap bookkeeping sums
-        a per-sharer cost on every munmap and the per-call overhead shows."""
-        socket_of = self._socket_of
-        row = self._hops[socket_of[core_id]]
+        core in the set ``sharers`` (hop distances with no sharer are
+        absent). Equivalent to counting ``core_hops(core_id, s)`` per
+        sharer, but done as one set intersection per socket: rmap
+        bookkeeping sums a per-sharer cost on every munmap, and an mm on
+        the fleet box is live on hundreds of cores."""
+        own = self._socket_of[core_id]
+        row = self._hops[own]
         counts: Dict[int, int] = {}
-        for other in sharers:
-            if other != core_id:
-                hops = row[socket_of[other]]
-                counts[hops] = counts.get(hops, 0) + 1
+        for socket, members in enumerate(self._socket_cores):
+            n = len(members.intersection(sharers))
+            if socket == own and core_id in sharers:
+                n -= 1
+            if n:
+                hops = row[socket]
+                counts[hops] = counts.get(hops, 0) + n
         return counts
 
     def socket_hops(self, socket_a: int, socket_b: int) -> int:

@@ -326,12 +326,13 @@ def _latr_snapshot(coh: LatrCoherence) -> Tuple:
     state_snaps = []
     for s in states.values():
         if type(s) is SoaLatrState:
-            # Raw mask/flag words (routed through the slot arrays while the
-            # state is attached) plus the attachment itself; restoring them
-            # as direct slot writes keeps the notifying ``active`` property
-            # from firing on a rewind.
+            # The handle's own mask/flag words plus the attachment itself
+            # (while attached, the authoritative words live in the queue
+            # arrays, restored wholesale below); restoring them as direct
+            # field writes keeps the notifying ``active`` property from
+            # firing on a rewind.
             state_snaps.append(
-                ("soa", s, s._mask_get(0), s._mask_get(1), s._flags_get(),
+                ("soa", s, s._cpu_mask, s._pulled_mask, s._flags,
                  s.completed_at, s.slot_idx, s.queue, s._attached,
                  _signal_snapshot(s.done))
             )
@@ -349,9 +350,9 @@ def _latr_snapshot(coh: LatrCoherence) -> Tuple:
             # The parallel arrays travel wholesale; bytes() freezes the
             # flags bytearray so later mutation can't alias the snapshot.
             qsnap += ((
-                list(q._seq_a), list(q._mask_a), list(q._pulled_a),
-                bytes(q._flags_a), list(q._vpn_a), list(q._npages_a),
-                list(q._posted_a),
+                list(q._seq_a), list(q._mask_a), bytes(q._flags_a),
+                list(q._vpn_a), list(q._npages_a), list(q._posted_a),
+                list(q._remaining_a),
             ),)
         queue_snaps[core_id] = qsnap
     return (
@@ -362,6 +363,11 @@ def _latr_snapshot(coh: LatrCoherence) -> Tuple:
         set(coh._active_queue_ids),
         None if coh._active_states_sorted is None
         else list(coh._active_states_sorted),
+        [list(inbox) for inbox in coh._inboxes],
+        list(coh._wide_seqs), list(coh._wide_gids),
+        {core_id: set(gids) for core_id, gids in coh._excluded.items()},
+        [list(seqs) for seqs in coh._socket_seqs],
+        set(coh._unapplied),
         coh.cold_sweep_extra_ns,
     )
 
@@ -369,7 +375,8 @@ def _latr_snapshot(coh: LatrCoherence) -> Tuple:
 def _latr_restore(coh: LatrCoherence, snap: Tuple) -> None:
     (state_snaps, queue_snaps, pending_reclaim, migration_states,
      reclaimd_started, active_count, last_posted_seq, sweep_cursor,
-     active_queue_ids, active_sorted, cold_extra) = snap
+     active_queue_ids, active_sorted, inboxes, wide_seqs, wide_gids,
+     excluded, socket_seqs, unapplied, cold_extra) = snap
     for row in state_snaps:
         if row[0] == "soa":
             (_, state, cpu_mask, pulled_mask, flags, completed_at,
@@ -408,15 +415,15 @@ def _latr_restore(coh: LatrCoherence, snap: Tuple) -> None:
         q.active_count = active_n
         q._active_map = dict(active_map)
         if len(qsnap) > 6:
-            (seq_a, mask_a, pulled_a, flags_b, vpn_a, npages_a,
-             posted_a) = qsnap[6]
+            (seq_a, mask_a, flags_b, vpn_a, npages_a, posted_a,
+             remaining_a) = qsnap[6]
             q._seq_a = list(seq_a)
             q._mask_a = list(mask_a)
-            q._pulled_a = list(pulled_a)
             q._flags_a = bytearray(flags_b)
             q._vpn_a = list(vpn_a)
             q._npages_a = list(npages_a)
             q._posted_a = list(posted_a)
+            q._remaining_a = list(remaining_a)
     coh._pending_reclaim = list(pending_reclaim)
     coh._migration_states = list(migration_states)
     coh._reclaimd_started = reclaimd_started
@@ -427,6 +434,12 @@ def _latr_restore(coh: LatrCoherence, snap: Tuple) -> None:
     coh._active_states_sorted = (
         None if active_sorted is None else list(active_sorted)
     )
+    coh._inboxes = [list(inbox) for inbox in inboxes]
+    coh._wide_seqs = list(wide_seqs)
+    coh._wide_gids = list(wide_gids)
+    coh._excluded = {core_id: set(gids) for core_id, gids in excluded.items()}
+    coh._socket_seqs = [list(seqs) for seqs in socket_seqs]
+    coh._unapplied = set(unapplied)
     coh.cold_sweep_extra_ns = cold_extra
 
 
@@ -526,10 +539,10 @@ def restore_kernel(kernel, snap: SystemSnapshot) -> None:
     kernel.stats.restore(snap.stats)
     kernel.rng.restore(snap.rng)
     machine = kernel.machine
-    for core, (task, lazy, needs_flush, pending_irq, busy_until, irq_n,
+    machine.set_lazy_flags([row[1] for row in snap.cores])
+    for core, (task, _lazy, needs_flush, pending_irq, busy_until, irq_n,
                irq_ns, busy_ns, tlb_snap) in zip(machine.cores, snap.cores):
         core.current_task = task
-        core.lazy_tlb_mode = lazy
         core.needs_flush_on_wake = needs_flush
         core._pending_interrupt_ns = pending_irq
         core._handler_busy_until = busy_until

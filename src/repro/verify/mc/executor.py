@@ -551,14 +551,7 @@ class McExecutor:
             for s in q._slots
             if s is not None
         ]
-        if (
-            not live
-            and not co._pending_reclaim
-            # A stale non-empty derived cache (the active_cache_stale
-            # mutation) must still reach the slow path so the desync shows
-            # up in the hash.
-            and (not include_derived or not co._active_states_sorted)
-        ):
+        if not live and not co._pending_reclaim:
             # All slots empty (the common state between munmap bursts): the
             # per-slot walk collapses to cursors and depths. The encoding
             # (an int instead of a slot tuple) cannot collide with the
@@ -570,7 +563,7 @@ class McExecutor:
             if include_derived:
                 out += (
                     tuple((c, 0) for c, _cur in sorted(co._sweep_cursor.items())),
-                    None if co._active_states_sorted is None else (),
+                    self._canonical_inboxes(),
                 )
             return out
         rank = {s.seq: i for i, s in enumerate(sorted(live, key=lambda s: s.seq))}
@@ -612,17 +605,22 @@ class McExecutor:
                 (c, sum(1 for s in live if s.seq <= cur))
                 for c, cur in sorted(co._sweep_cursor.items())
             )
-            cache = co._active_states_sorted
-            cache_key = (
-                None
-                if cache is None
-                else tuple(
-                    (s.queue.core_id if s.queue is not None else -1, s.slot_idx)
-                    for s in cache
-                )
-            )
-            out += (cursors, cache_key)
+            out += (cursors, self._canonical_inboxes())
         return out
+
+    def _canonical_inboxes(self):
+        """The inbox sweep's own bookkeeping (empty under the object-model
+        queues), in global slot ids -- (owner, slot), seq-free: each core's
+        inbox, the wide log, each core's exclusions, and every slot's
+        remaining count."""
+        co = self.coherence
+        return (
+            tuple(tuple(sorted(inbox)) for inbox in co._inboxes),
+            tuple(co._wide_gids),
+            tuple(sorted((c, tuple(sorted(g))) for c, g in co._excluded.items())),
+            tuple(tuple(q._remaining_a) for q in co._queue_list)
+            if co.use_soa_states else (),
+        )
 
     # ------------------------------------------------------------- snapshots
 

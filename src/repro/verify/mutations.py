@@ -20,11 +20,12 @@ bug lives (coherence algorithm, simulator engine, or TLB hardware model):
 * ``tlb_index_desync`` -- the per-pcid TLB victim index misses every
   second fill, so indexed range invalidations skip a resident entry:
   a stale translation survives the shootdown and races the frame free.
-* ``active_cache_stale`` -- the sweep's active-state snapshot cache is
-  not invalidated on post, so sweeps miss freshly-posted states while the
-  cursor watermark advances past them: their bitmask bits never clear and
-  lazy work never drains (a liveness bug the equivalence/differential
-  oracles must flag, not the instant-level invariants).
+* ``active_cache_stale`` -- a post's inbox fan-out skips one target core,
+  so that core's sweeps never see the state while their cursor advances
+  past it: the state keeps waiting for a sweep that never comes, never
+  deactivates, and lazy work never drains (a liveness bug the progress
+  guards and differential oracles must flag, not the instant-level
+  invariants).
 * ``broken_replica`` -- under the numaPTE replicated-page-table facade,
   the write-coordinating fan-out silently drops PTE clears for node 1:
   that node's replica keeps mappings the canonical table tore down, so
@@ -229,21 +230,19 @@ def desync_tlb_index(machine: Machine) -> None:
 
 
 class StaleActiveCacheLatr(LatrCoherence):
-    """Mutation: posting a state leaves the sweep's snapshot cache stale.
+    """Mutation: a post's inbox fan-out skips its lowest target core.
 
-    The indexed sweep then misses freshly-posted states while still
-    advancing its cursor watermark past their seqs, so the missed states'
-    bitmask bits are never cleared and reclamation never happens: lazy
-    work accumulates forever (drain failure / equivalence divergence).
+    The state still waits for one sweep per target, but the skipped core's
+    sweeps never drain it while advancing their cursor past its seq, so
+    its remaining count never reaches zero and reclamation never happens:
+    lazy work accumulates forever (drain failure / equivalence divergence).
     """
 
     mutation = "active_cache_stale"
 
-    def note_posted(self, queue, state) -> None:
-        cached = self._active_states_sorted
-        super().note_posted(queue, state)
-        # BUG: resurrect the pre-post snapshot instead of invalidating it.
-        self._active_states_sorted = cached
+    def _fan_out(self, gid: int, seq: int, mask: int) -> None:
+        # BUG: the lowest target core never hears of the state.
+        super()._fan_out(gid, seq, mask & (mask - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +349,7 @@ MUTATION_SPECS: Dict[str, Mutation] = {
         ),
         Mutation(
             name="active_cache_stale",
-            description="active-state sweep cache not invalidated on post",
+            description="a post's inbox fan-out skips one target core",
             coherence_cls=StaleActiveCacheLatr,
             detected_by="progress",
         ),

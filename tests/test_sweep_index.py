@@ -1,6 +1,7 @@
-"""Equivalence tests for the LATR active-state sweep index.
+"""Equivalence tests for the LATR sweep indexes.
 
-The index (`LatrCoherence._sweep_indexed`) must charge the exact modelled
+The inbox sweep over the packed queues (`LatrCoherence._sweep_inbox`) and
+the object-model index (`_sweep_indexed`) must charge the exact modelled
 costs of the original full scan (`_sweep_full`) -- every counter, latency
 and rate bit-for-bit identical -- while doing asymptotically less simulator
 work. The strongest check replays full differential-fuzzer plans with both
@@ -9,12 +10,21 @@ implementations and compares complete ``StatsRegistry.summary()`` dicts.
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
 from helpers import drain, make_proc, run_to_completion
+from hypothesis import given, settings
 
 from repro import build_system
+from repro.coherence.latr import LatrCoherence
+from repro.hw.spec import preset
+from repro.hw.topology import Topology
 from repro.mm.addr import PAGE_SIZE
+from repro.mm.mmstruct import MmStruct
+from repro.sim.engine import Simulator
+from repro.snapshot import restore_kernel, snapshot_kernel
 from repro.verify.fuzzer import run_one
+from repro.verify.mc.executor import McExecutor, McScope
 from repro.verify.plan import generate_plan
 
 
@@ -35,6 +45,36 @@ class TestFuzzPlanEquivalence:
         assert indexed.stats_summary == full.stats_summary
         assert indexed.snapshot == full.snapshot
         assert indexed.sim_time_ns == full.sim_time_ns
+
+    @pytest.mark.parametrize("seed", [1, 6, 9])
+    def test_multi_state_retirements_and_pending_migrations(self, seed, monkeypatch):
+        # Several states retire in one sweep, and sweeps drain migrations
+        # whose PTE change is still deferred; both must match the full scan
+        # and the object-model index.
+        plan = generate_plan(seed, 120)
+        seen = {"multi_retire": 0, "pending_migration": 0}
+        drain_inbox = LatrCoherence._drain
+
+        def counting_drain(self, core, inbox, cost):
+            before = self._active_state_count
+            if self._unapplied and not self._unapplied.isdisjoint(inbox):
+                seen["pending_migration"] += 1
+            cost = drain_inbox(self, core, inbox, cost)
+            if before - self._active_state_count >= 2:
+                seen["multi_retire"] += 1
+            return cost
+
+        monkeypatch.setattr(LatrCoherence, "_drain", counting_drain)
+        inbox = run_one("latr", plan)
+        assert seen["multi_retire"] > 0 and seen["pending_migration"] > 0
+        assert inbox.clean, (inbox.violations, inbox.errors)
+        # The full scan, and the object-model index over set bitmasks.
+        for reference in ({"use_sweep_index": False}, {"use_soa_states": False}):
+            other = run_one("latr", plan, latr_kwargs=reference)
+            assert other.clean, (reference, other.violations, other.errors)
+            assert inbox.stats_summary == other.stats_summary, reference
+            assert inbox.snapshot == other.snapshot, reference
+            assert inbox.sim_time_ns == other.sim_time_ns, reference
 
 
 class TestIndexBookkeeping:
@@ -67,9 +107,12 @@ class TestIndexBookkeeping:
         assert coherence.active_state_count() == scan_count() == 0
         self._munmap_once(system, proc, tasks)
         assert coherence.active_state_count() == scan_count() == 1
-        # Ticks sweep the state away; reclamation retires it.
+        # Ticks sweep the state away; reclamation retires it, and the inbox
+        # sweep's bookkeeping empties with it.
         drain(system, ms=6)
         assert coherence.active_state_count() == scan_count() == 0
+        assert not any(coherence._inboxes) and not coherence._wide_gids
+        assert not coherence._excluded and not any(coherence._socket_seqs)
 
     def test_empty_sweep_costs_exactly_base(self):
         system = build_system("latr", cores=4)
@@ -122,3 +165,245 @@ class TestIndexBookkeeping:
         drain(system, ms=6)
         assert system.stats.counter("latr.sweeps").value > 0
         assert system.stats.counter("latr.entries_invalidated").value >= 1
+
+    @pytest.mark.parametrize("n_threads", [2, None], ids=["narrow", "wide"])
+    def test_many_states_one_sweep_matches_full_scan(self, n_threads):
+        # More states than the full-flush threshold in one sweep: the sweep
+        # decides on a full flush from the count alone, and the last target
+        # deactivates them all. Two threads make every state narrow (one
+        # target, an inbox entry); one per core makes them wide (three
+        # targets, the wide log).
+        results = {}
+        for use_sweep_index in (True, False):
+            system = build_system("latr", cores=4, use_sweep_index=use_sweep_index)
+            proc, tasks = make_proc(system, n_threads=n_threads)
+            kernel = system.kernel
+            sc = kernel.syscalls
+            threshold = system.machine.spec.full_flush_threshold
+
+            def body():
+                c0, c1 = kernel.machine.core(0), kernel.machine.core(1)
+                ranges = []
+                for _ in range(threshold + 8):
+                    vr = yield from sc.mmap(tasks[0], c0, PAGE_SIZE)
+                    yield from sc.touch_pages(tasks[0], c0, vr, write=True)
+                    yield from sc.touch_pages(tasks[1], c1, vr)
+                    ranges.append(vr)
+                for vr in ranges:
+                    yield from sc.munmap(tasks[0], c0, vr)
+
+            run_to_completion(system, body())
+            coherence = kernel.coherence
+            assert coherence.active_state_count() > threshold
+            if use_sweep_index:
+                pending = coherence._inboxes[1] if n_threads else coherence._wide_gids
+                assert len(pending) > threshold
+            results[use_sweep_index] = [
+                coherence.sweep(kernel.machine.core(c)) for c in (1, 2, 3, 1)
+            ]
+            drain(system, ms=6)
+            results[use_sweep_index].append(system.stats.summary())
+        assert results[True] == results[False]
+
+
+    def test_queue_full_fallbacks_match_object_model(self):
+        # Fallback rounds IPI the same cores under either representation:
+        # a depth-2 queue fills with two frees, then a free and a migration
+        # both fall back to synchronous IPIs.
+        summaries = []
+        for use_soa_states in (True, False):
+            system = build_system(
+                "latr", cores=4, queue_depth=2, use_soa_states=use_soa_states
+            )
+            proc, tasks = make_proc(system)
+            kernel = system.kernel
+            sc = kernel.syscalls
+
+            def body():
+                c0, c1 = kernel.machine.core(0), kernel.machine.core(1)
+                for _ in range(3):
+                    vr = yield from sc.mmap(tasks[0], c0, PAGE_SIZE)
+                    yield from sc.touch_pages(tasks[0], c0, vr, write=True)
+                    yield from sc.touch_pages(tasks[1], c1, vr)
+                    yield from sc.munmap(tasks[0], c0, vr)
+                vr = yield from sc.mmap(tasks[0], c0, PAGE_SIZE)
+                yield from sc.touch_pages(tasks[0], c0, vr, write=True)
+                yield from kernel.coherence.migration_unmap(c0, proc.mm, vr, lambda: None)
+
+            run_to_completion(system, body())
+            drain(system, ms=6)
+            summary = system.stats.summary()
+            assert summary["count.latr.fallback_ipi"] == 2
+            summaries.append(summary)
+        assert summaries[0] == summaries[1]
+
+
+class TestHealthySweepEntryPoint:
+    def test_mutated_run_runs_no_healthy_sweep(self, monkeypatch):
+        # Tick and context-switch sweeps share ``sweep``: a subclass that
+        # overrides it (the skip_sweep_invalidate mutation) owns every sweep.
+        healthy = {"n": 0}
+        for name in ("_sweep_inbox", "_sweep_indexed", "_sweep_full"):
+            impl = getattr(LatrCoherence, name)
+
+            def counted(self, core, _impl=impl):
+                healthy["n"] += 1
+                return _impl(self, core)
+
+            monkeypatch.setattr(LatrCoherence, name, counted)
+        plan = generate_plan(1, 60)
+        result = run_one("latr", plan, mutate="skip_sweep_invalidate")
+        assert result.stats_summary["count.latr.sweeps"] > 0
+        assert healthy["n"] == 0
+        run_one("latr", plan)
+        assert healthy["n"] > 0
+
+
+def _inbox_bookkeeping(coherence):
+    return (
+        [list(inbox) for inbox in coherence._inboxes],
+        list(coherence._wide_seqs),
+        list(coherence._wide_gids),
+        {c: set(gids) for c, gids in coherence._excluded.items()},
+        [list(seqs) for seqs in coherence._socket_seqs],
+        set(coherence._unapplied),
+        [list(queue._remaining_a) for queue in coherence._queue_list],
+        dict(coherence._sweep_cursor),
+    )
+
+
+class TestInboxSnapshot:
+    def test_mc_restore_with_pending_states_is_hash_exact(self):
+        executor = McExecutor(McScope(cores=4, pages=3, ops=5))
+        coherence = executor.coherence
+        while not coherence._wide_gids:
+            executor.execute(
+                next(a for a in executor.enabled_actions() if a.startswith("op:"))
+            )
+        before = executor.state_hash(include_derived=True)
+        bookkeeping = _inbox_bookkeeping(coherence)
+        snap = executor.fork()
+
+        def run_on():
+            hashes = []
+            while executor.enabled_actions():
+                executor.execute(executor.enabled_actions()[-1])
+                hashes.append(executor.state_hash(include_derived=True))
+            return hashes
+
+        first = run_on()
+        assert not coherence._wide_gids
+        executor.restore(snap)
+        assert executor.state_hash(include_derived=True) == before
+        assert _inbox_bookkeeping(coherence) == bookkeeping
+        assert run_on() == first
+
+    def test_restore_mid_run_with_narrow_and_wide_pending(self):
+        # One process on two cores (narrow states: inbox entries), one on
+        # every core (wide states: the wide log), restored mid-run.
+        system = build_system("latr", cores=8)
+        kernel = system.kernel
+        _, narrow_tasks = make_proc(system, n_threads=2, name="narrow")
+        _, wide_tasks = make_proc(system, name="wide")
+        sc = kernel.syscalls
+
+        def body():
+            for tasks in (narrow_tasks, wide_tasks):
+                c0, c1 = kernel.machine.core(0), kernel.machine.core(1)
+                for _ in range(3):
+                    vr = yield from sc.mmap(tasks[0], c0, 2 * PAGE_SIZE)
+                    yield from sc.touch_pages(tasks[0], c0, vr, write=True)
+                    yield from sc.touch_pages(tasks[1], c1, vr)
+                    yield from sc.munmap(tasks[0], c0, vr)
+
+        run_to_completion(system, body())
+        coherence = kernel.coherence
+        assert any(coherence._inboxes) and coherence._wide_gids
+        bookkeeping = _inbox_bookkeeping(coherence)
+        machine = kernel.machine
+        lazy = set(machine.lazy_cores)
+        snap = snapshot_kernel(kernel)
+        drain(system, ms=6)
+        after = (system.stats.summary(), _inbox_bookkeeping(coherence))
+        assert coherence.active_state_count() == 0
+        for core in machine.cores:
+            core.lazy_tlb_mode = core.id not in lazy
+        restore_kernel(kernel, snap)
+        assert _inbox_bookkeeping(coherence) == bookkeeping
+        assert machine.lazy_cores == lazy
+        assert lazy == {core.id for core in machine.cores if core.lazy_tlb_mode}
+        drain(system, ms=6)
+        assert (system.stats.summary(), _inbox_bookkeeping(coherence)) == after
+
+
+def _old_target_ids(machine, mm, initiator_id, counter):
+    """The per-core loop ``select_targets`` replaced (reference model)."""
+    targets = []
+    for core_id in sorted(c for c in mm.cpumask if c != initiator_id):
+        core = machine.cores[core_id]
+        if core.lazy_tlb_mode:
+            core.needs_flush_on_wake = True
+            counter[0] += 1
+            continue
+        targets.append(core_id)
+    return targets
+
+
+def _old_sharer_hop_counts(topology, core_id, sharers):
+    counts = {}
+    for other in sharers:
+        if other != core_id:
+            hops = topology.core_hops(core_id, other)
+            counts[hops] = counts.get(hops, 0) + 1
+    return counts
+
+
+class TestTargetArithmetic:
+    """Set arithmetic on the munmap side equals the per-core loops it
+    replaced, on random cpumasks and lazy-core sets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        machine_name=st.sampled_from(["commodity-2s16c", "large-numa-8s120c"]),
+        data=st.data(),
+    )
+    def test_select_targets_and_hop_counts_match_loops(self, machine_name, data):
+        system = build_system("latr", machine=machine_name)
+        machine = system.machine
+        n = machine.n_cores
+        core_ids = st.integers(min_value=0, max_value=n - 1)
+        cpumask = data.draw(st.sets(core_ids, max_size=n))
+        lazy = data.draw(st.sets(core_ids, max_size=n))
+        initiator = data.draw(core_ids)
+        for core in machine.cores:
+            core.lazy_tlb_mode = core.id in lazy
+        assert machine.lazy_cores == lazy
+        mm = MmStruct(Simulator())
+        mm.cpumask = set(cpumask)
+
+        counter = [0]
+        expected = _old_target_ids(machine, mm, initiator, counter)
+        expected_flags = [core.needs_flush_on_wake for core in machine.cores]
+        for core in machine.cores:
+            core.needs_flush_on_wake = False
+        stats = system.stats.counter("shootdown.idle_skipped")
+        skipped = stats.value
+        coherence = system.kernel.coherence
+        targets = coherence.select_targets(machine.cores[initiator], mm)
+        assert [t.id for t in targets] == expected
+        assert stats.value - skipped == counter[0]
+        assert [core.needs_flush_on_wake for core in machine.cores] == expected_flags
+        if expected:
+            mask = coherence._mask_of(expected)
+            assert mask == sum(1 << c for c in expected)
+
+        topology = machine.topology
+        assert topology.sharer_hop_counts(initiator, cpumask) == _old_sharer_hop_counts(
+            topology, initiator, cpumask
+        )
+
+    def test_hop_counts_cover_one_and_two_hops(self):
+        topology = Topology(preset("large-numa-8s120c"))
+        counts = topology.sharer_hop_counts(0, set(range(120)))
+        assert counts == _old_sharer_hop_counts(topology, 0, range(120))
+        assert set(counts) == {0, 1, 2}

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 #: Keys that change a case's workload size; deltas across a change in any
 #: of these are marked "(scale changed)" in the table. Mirrors
 #: ``repro.bench.compare_to_previous``.
-SCALE_KEYS = ("sim_ms", "jobs", "n_events", "ops", "mc_scope", "drivers")
+SCALE_KEYS = ("sim_ms", "jobs", "n_events", "ops", "mc_scope", "drivers", "seed")
 
 
 def load_history(bench_dir: str) -> List[Tuple[str, Dict[str, object]]]:

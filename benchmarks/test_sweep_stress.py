@@ -1,11 +1,10 @@
 """Benchmark the simulator hot paths on the paper's 120-core machine.
 
 Times the sweep-stress microbench with the active-state index on and off
-(the indexed run must be at least 2x faster), the engine-stress microbench
-with the timer wheel on and off (identical event order, wheel faster), and
-the invalidate-stress microbench with the per-pcid TLB index on and off
-(identical final state, at least 2x faster) -- the same gates the
-wall-clock harness records in BENCH_*.json. The sweep-stress case is also
+(the indexed run must be at least 2x faster) and the invalidate-stress
+microbench with the per-pcid TLB index on and off (identical final state,
+at least 2x faster) -- the same gates the wall-clock harness records in
+BENCH_*.json. The sweep-stress case is also
 held to >= 3x the events/sec of the committed pre-wheel baseline.
 """
 
@@ -76,37 +75,6 @@ def test_sweep_stress_beats_prewheel_baseline():
     )
     assert best_eps >= 3.0 * base_eps, (
         f"sweep-stress below 3x pre-wheel baseline: {best_eps / base_eps:.2f}x"
-    )
-
-
-def test_engine_stress_wheel_speedup(benchmark):
-    """Timer wheel vs binary heap on pure event-loop churn: byte-identical
-    (time, seq) execution order, and the wheel must not be slower."""
-    from repro.bench import ENGINE_STRESS_EVENTS, run_engine_stress
-
-    started = time.perf_counter()
-    _sim, heap_order = run_engine_stress(
-        ENGINE_STRESS_EVENTS, use_timer_wheel=False, record_order=True
-    )
-    heap_wall = time.perf_counter() - started
-
-    started = time.perf_counter()
-    _sim, wheel_order = benchmark.pedantic(
-        run_engine_stress,
-        args=(ENGINE_STRESS_EVENTS,),
-        kwargs={"use_timer_wheel": True, "record_order": True},
-        rounds=1,
-        iterations=1,
-    )
-    wheel_wall = time.perf_counter() - started
-
-    print(
-        f"\nengine-stress: wheel {wheel_wall:.2f}s, heap {heap_wall:.2f}s, "
-        f"speedup {heap_wall / wheel_wall:.2f}x"
-    )
-    assert wheel_order == heap_order, "timer wheel changed the event order"
-    assert heap_wall >= 1.1 * wheel_wall, (
-        f"timer wheel speedup below 1.1x: {heap_wall / wheel_wall:.2f}x"
     )
 
 

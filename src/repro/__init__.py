@@ -70,7 +70,6 @@ def build_system(
     pcid: bool = False,
     seed: int = 1,
     frames_per_node: Optional[int] = None,
-    use_timer_wheel: Optional[bool] = None,
     use_tlb_index: Optional[bool] = None,
     gate_latencies: Optional[bool] = None,
     use_batched_faults: Optional[bool] = None,
@@ -89,8 +88,6 @@ def build_system(
         pcid: enable PCID-tagged TLBs (paper section 4.5).
         seed: deterministic RNG seed for workloads.
         frames_per_node: physical memory size override (frames).
-        use_timer_wheel: engine escape hatch -- False routes every event
-            through the plain heap instead of the timer wheel (default on).
         use_tlb_index: TLB escape hatch -- False keeps the linear-scan
             invalidation paths (default on).
         gate_latencies: stats escape hatch -- False keeps the historical
@@ -122,7 +119,7 @@ def build_system(
     spec = preset(machine) if isinstance(machine, str) else machine
     if cores is not None:
         spec = spec.with_cores(cores)
-    sim = Simulator(use_timer_wheel=use_timer_wheel)
+    sim = Simulator()
     mech = make_mechanism(mechanism, **mechanism_kwargs)
     hw = Machine(
         sim,

@@ -8,39 +8,22 @@ or generator-based processes on a single :class:`Simulator`.
 Time is modelled as integer nanoseconds, which keeps event ordering exact and
 reproducible (no floating-point drift over long runs).
 
-Internally the simulator keeps near-future events in a timer wheel
-(:data:`WHEEL_SLOTS` fixed-width buckets of :data:`WHEEL_SLOT_NS` each,
-covering ~2.1 ms -- comfortably past the 1 ms scheduler tick) and lets
-far-future events overflow to a binary heap. Event ordering is *identical*
-to a pure heap: everything executes strictly by ``(time, seq)``, with ``seq``
-allocated in schedule order. ``Simulator(use_timer_wheel=False)`` routes all
-events through the heap instead, which the differential tests use to prove
-the wheel changes nothing observable.
+Pending events live in one binary heap of ``(time, seq, handle)`` entries and
+execute strictly by ``(time, seq)``, with ``seq`` allocated in schedule order.
+``seq`` is unique, so two entries never compare past their second field: heap
+sifts compare int pairs in C and never call into Python.
 """
 
 from __future__ import annotations
 
 import heapq
 from types import GeneratorType
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 #: One microsecond / millisecond / second in simulation time units (ns).
 USEC = 1_000
 MSEC = 1_000_000
 SEC = 1_000_000_000
-
-#: Timer-wheel geometry: 512 slots of 4096 ns cover ~2.1 ms, so scheduler
-#: ticks, context-switch traffic and execution quanta all stay in the wheel;
-#: only genuinely far-future events (multi-ms daemon periods) hit the heap.
-WHEEL_SLOT_NS = 1 << 12
-WHEEL_SLOTS = 1 << 9
-WHEEL_SPAN_NS = WHEEL_SLOT_NS * WHEEL_SLOTS
-
-#: Buckets shorter than this are never compacted -- lazy pop handles them.
-_COMPACT_MIN = 8
-
-#: Default for ``Simulator(use_timer_wheel=...)`` when left unspecified.
-DEFAULT_USE_TIMER_WHEEL = True
 
 
 class SimulationError(RuntimeError):
@@ -56,7 +39,7 @@ class EventHandle:
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "interval", "_sim",
-                 "_bucket", "_scheduled")
+                 "_scheduled")
 
     def __init__(
         self,
@@ -74,32 +57,21 @@ class EventHandle:
         self.cancelled = False
         self.interval = interval
         self._sim = sim
-        #: Wheel-bucket index while parked in a bucket, else -1.
-        self._bucket = -1
-        #: True while resident in a wheel/heap structure (awaiting execution).
+        #: True while resident in the event heap (awaiting execution).
         self._scheduled = False
 
     def cancel(self) -> None:
         """Prevent the callback from firing (no-op if it already fired).
 
-        For periodic handles this ends the series. The handle stays in its
-        wheel bucket / heap and is dropped lazily; a bucket that becomes
-        >50% cancelled is compacted so long-lived simulations don't leak
-        slots to dead timers.
+        For periodic handles this ends the series. The entry stays in the
+        heap until it reaches the head and is dropped there; ``pending()``
+        stops counting it at once.
         """
         if self.cancelled:
             return
         self.cancelled = True
         if self._scheduled and self._sim is not None:
-            self._sim._note_cancelled(self)
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Tuple-free (time, seq) comparison: this runs on every heap
-        # sift in the event loop, and the two tuple allocations dominate
-        # the comparison itself.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+            self._sim._pending_live -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -269,9 +241,8 @@ def _gather(sim: "Simulator", children: Iterable[Any], owner: str = "") -> Signa
 
 
 class Simulator:
-    """The event loop: a timer wheel + overflow heap of callbacks, plus
-    process support. Execution order is strict ``(time, seq)`` regardless of
-    which structure holds an event."""
+    """The event loop: one ``(time, seq)``-ordered heap of callbacks, plus
+    process support."""
 
     #: Events executed across all Simulator instances in this process; the
     #: benchmark harness snapshots it around a timed run to report events/sec
@@ -280,48 +251,26 @@ class Simulator:
 
     def __init__(
         self,
-        use_timer_wheel: Optional[bool] = None,
         choice_hook: Optional[Callable[[List[EventHandle]], Optional[int]]] = None,
     ):
-        if use_timer_wheel is None:
-            use_timer_wheel = DEFAULT_USE_TIMER_WHEEL
         #: Controllable dispatch: when set, every dispatch first gathers the
         #: *ready set* -- all pending events due at the earliest timestamp --
         #: and calls ``choice_hook(ready)``; the hook returns the index of the
         #: event to run (or None for the default, lowest-seq, choice). The
         #: model checker uses this to observe and pin same-instant races.
-        #: Forces heap mode: the ready set must be extractable exactly.
         self.choice_hook = choice_hook
-        if choice_hook is not None:
-            use_timer_wheel = False
-        self._use_wheel = bool(use_timer_wheel)
         self._seq = 0
         self._now = 0
         self._running = False
         #: Scheduled, non-cancelled events (kept exact so pending() is O(1)).
         self._pending_live = 0
-        #: Far-future events (>= the wheel horizon), or *all* events when the
-        #: wheel is disabled: a binary heap ordered by (time, seq).
-        self._overflow: List[EventHandle] = []
-        # Wheel state: _current is a heap holding the active slot (plus any
-        # event scheduled earlier than one slot past the cursor); _buckets
-        # are append-only FIFO lists heapified when their slot activates.
-        self._current: List[EventHandle] = []
-        if self._use_wheel:
-            self._buckets: List[List[EventHandle]] = [[] for _ in range(WHEEL_SLOTS)]
-            self._bucket_dead: List[int] = [0] * WHEEL_SLOTS
-        else:
-            self._buckets = []
-            self._bucket_dead = []
-        self._cursor_slot = 0
-        self._cursor_time = 0
-        #: Handles resident in _current + _buckets (cancelled ones included
-        #: until lazily dropped or compacted).
-        self._wheel_count = 0
+        #: The event heap of ``(time, seq, handle)`` entries. A cancelled
+        #: handle's entry stays until it reaches the head.
+        self._queue: List[Tuple[int, int, EventHandle]] = []
         #: Events executed by this instance (monotonic, never reset).
         self.events_executed = 0
-        #: Set to a list to record (time, seq) of every executed event --
-        #: the differential tests use it to prove wheel-vs-heap identity.
+        #: Set to a list to record (time, seq) of every executed event; the
+        #: golden order fingerprint of the engine-stress bench hashes it.
         self.order_log: Optional[List] = None
 
     @property
@@ -336,11 +285,13 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute time ``time``."""
         if time < self._now:
             raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
-        handle = EventHandle(int(time), self._seq, fn, args, self)
-        self._seq += 1
+        time = int(time)
+        seq = self._seq
+        handle = EventHandle(time, seq, fn, args, self)
+        self._seq = seq + 1
         handle._scheduled = True
         self._pending_live += 1
-        self._place(handle)
+        heapq.heappush(self._queue, (time, seq, handle))
         return handle
 
     def after(self, delay: int, fn: Callable, *args: Any) -> EventHandle:
@@ -375,13 +326,13 @@ class Simulator:
         delay = interval if start is None else start
         if delay < 0:
             raise SimulationError(f"negative start: {start}")
-        handle = EventHandle(
-            self._now + int(delay), self._seq, fn, args, self, int(interval)
-        )
-        self._seq += 1
+        time = self._now + int(delay)
+        seq = self._seq
+        handle = EventHandle(time, seq, fn, args, self, int(interval))
+        self._seq = seq + 1
         handle._scheduled = True
         self._pending_live += 1
-        self._place(handle)
+        heapq.heappush(self._queue, (time, seq, handle))
         return handle
 
     def _rearm(self, handle: EventHandle) -> None:
@@ -391,170 +342,41 @@ class Simulator:
         if handle.cancelled:
             return
         time = handle.time = self._now + handle.interval
-        handle.seq = self._seq
-        self._seq += 1
+        seq = handle.seq = self._seq
+        self._seq = seq + 1
         handle._scheduled = True
         self._pending_live += 1
-        # _place() inlined -- periodic re-arms happen once per executed tick
-        # across every daemon, and the in-horizon bucket append is the
-        # overwhelmingly common case.
-        if self._use_wheel and time < self._cursor_time + WHEEL_SPAN_NS:
-            if time < self._cursor_time + WHEEL_SLOT_NS:
-                handle._bucket = -1
-                heapq.heappush(self._current, handle)
-            else:
-                bucket = (time // WHEEL_SLOT_NS) % WHEEL_SLOTS
-                handle._bucket = bucket
-                self._buckets[bucket].append(handle)
-            self._wheel_count += 1
-        else:
-            handle._bucket = -1
-            heapq.heappush(self._overflow, handle)
-
-    def _place(self, handle: EventHandle) -> None:
-        """Insert into the wheel or the overflow heap by time (structural
-        insert only -- callers maintain the pending/scheduled accounting)."""
-        if not self._use_wheel:
-            heapq.heappush(self._overflow, handle)
-            return
-        time = handle.time
-        if time < self._cursor_time + WHEEL_SLOT_NS:
-            # Due within (or before) the active slot: keep exact heap order.
-            handle._bucket = -1
-            heapq.heappush(self._current, handle)
-            self._wheel_count += 1
-        elif time < self._cursor_time + WHEEL_SPAN_NS:
-            bucket = (time // WHEEL_SLOT_NS) % WHEEL_SLOTS
-            handle._bucket = bucket
-            self._buckets[bucket].append(handle)
-            self._wheel_count += 1
-        else:
-            handle._bucket = -1
-            heapq.heappush(self._overflow, handle)
-
-    # ------------------------------------------------------------------
-    # cancellation bookkeeping
-
-    def _note_cancelled(self, handle: EventHandle) -> None:
-        """Called by EventHandle.cancel() while the handle is still queued:
-        fix the live count and compact the bucket if mostly dead."""
-        self._pending_live -= 1
-        bucket_idx = handle._bucket
-        if bucket_idx < 0:
-            return  # in _current or _overflow: lazily dropped on pop
-        dead = self._bucket_dead[bucket_idx] + 1
-        bucket = self._buckets[bucket_idx]
-        if dead * 2 > len(bucket) and len(bucket) >= _COMPACT_MIN:
-            live = [h for h in bucket if not h.cancelled]
-            for h in bucket:
-                if h.cancelled:
-                    h._bucket = -1
-                    h._scheduled = False
-            self._wheel_count -= len(bucket) - len(live)
-            self._buckets[bucket_idx] = live
-            self._bucket_dead[bucket_idx] = 0
-        else:
-            self._bucket_dead[bucket_idx] = dead
-
-    # ------------------------------------------------------------------
-    # wheel advancement
-
-    def _advance_wheel(self) -> None:
-        """Advance the cursor (only legal with _current empty and events in
-        the wheel) until a populated bucket activates, migrating overflow
-        events as they enter the horizon along the way."""
-        buckets = self._buckets
-        overflow = self._overflow
-        cursor_slot = self._cursor_slot
-        cursor_time = self._cursor_time
-        while True:
-            cursor_slot = (cursor_slot + 1) % WHEEL_SLOTS
-            cursor_time += WHEEL_SLOT_NS
-            self._cursor_slot = cursor_slot
-            self._cursor_time = cursor_time
-            if overflow and overflow[0].time < cursor_time + WHEEL_SPAN_NS:
-                horizon = cursor_time + WHEEL_SPAN_NS
-                while overflow and overflow[0].time < horizon:
-                    migrated = heapq.heappop(overflow)
-                    if migrated.cancelled:
-                        migrated._scheduled = False
-                        continue
-                    self._place(migrated)
-            bucket = buckets[cursor_slot]
-            if bucket:
-                buckets[cursor_slot] = []
-                self._bucket_dead[cursor_slot] = 0
-                for h in bucket:
-                    h._bucket = -1
-                heapq.heapify(bucket)
-                self._current = bucket
-                return
-
-    def _jump_wheel(self, time: int) -> None:
-        """With the wheel empty, teleport the cursor to ``time``'s slot and
-        pull newly-in-horizon overflow events into the wheel."""
-        self._cursor_time = (time // WHEEL_SLOT_NS) * WHEEL_SLOT_NS
-        self._cursor_slot = (time // WHEEL_SLOT_NS) % WHEEL_SLOTS
-        overflow = self._overflow
-        horizon = self._cursor_time + WHEEL_SPAN_NS
-        while overflow and overflow[0].time < horizon:
-            migrated = heapq.heappop(overflow)
-            if migrated.cancelled:
-                migrated._scheduled = False
-                continue
-            self._place(migrated)
+        heapq.heappush(self._queue, (time, seq, handle))
 
     # ------------------------------------------------------------------
     # event loop
 
     def _peek_next(self) -> Optional[EventHandle]:
         """The earliest pending non-cancelled event (cancelled heads are
-        dropped lazily on the way), or None if the simulator is drained."""
-        if not self._use_wheel:
-            overflow = self._overflow
-            while overflow:
-                head = overflow[0]
-                if head.cancelled:
-                    heapq.heappop(overflow)
-                    head._scheduled = False
-                    continue
-                return head
-            return None
-        while True:
-            current = self._current
-            while current:
-                head = current[0]
-                if head.cancelled:
-                    heapq.heappop(current)
-                    self._wheel_count -= 1
-                    head._scheduled = False
-                    continue
-                return head
-            if self._wheel_count:
-                self._advance_wheel()
+        dropped on the way), or None if the simulator is drained."""
+        queue = self._queue
+        while queue:
+            head = queue[0][2]
+            if head.cancelled:
+                heapq.heappop(queue)
+                head._scheduled = False
                 continue
-            overflow = self._overflow
-            while overflow and overflow[0].cancelled:
-                dropped = heapq.heappop(overflow)
-                dropped._scheduled = False
-            if not overflow:
-                return None
-            self._jump_wheel(overflow[0].time)
+            return head
+        return None
 
     def _pop_ready_set(self, until: Optional[int] = None) -> Optional[List[EventHandle]]:
         """Pop every pending event due at the earliest timestamp, in
-        ``(time, seq)`` order (heap mode only -- the choice hook forces it).
-        Returns None when drained or when the head is past ``until``. The
-        popped handles stay marked scheduled; :meth:`_dispatch_choice`
-        re-queues the ones that are not chosen."""
+        ``(time, seq)`` order. Returns None when drained or when the head
+        is past ``until``. The popped handles stay marked scheduled;
+        :meth:`_dispatch_choice` re-queues the ones that are not chosen."""
         head = self._peek_next()
         if head is None or (until is not None and head.time > until):
             return None
         time = head.time
         ready: List[EventHandle] = []
-        overflow = self._overflow
-        while overflow and overflow[0].time == time:
-            handle = heapq.heappop(overflow)
+        queue = self._queue
+        while queue and queue[0][0] == time:
+            handle = heapq.heappop(queue)[2]
             if handle.cancelled:
                 handle._scheduled = False
                 continue
@@ -576,7 +398,7 @@ class Simulator:
         chosen = ready[idx]
         for handle in ready:
             if handle is not chosen:
-                heapq.heappush(self._overflow, handle)
+                heapq.heappush(self._queue, (handle.time, handle.seq, handle))
         chosen._scheduled = False
         self._pending_live -= 1
         return chosen
@@ -585,7 +407,7 @@ class Simulator:
         self, until: Optional[int], max_events: Optional[int]
     ) -> int:
         """The run() loop under a choice hook: one ready-set dispatch per
-        event (no wheel fast path -- exactness over speed)."""
+        event."""
         executed = 0
         self._running = True
         try:
@@ -604,17 +426,6 @@ class Simulator:
             if next_time is None or next_time > until:
                 self._now = until
         return executed
-
-    def _pop_next(self) -> EventHandle:
-        """Remove and return the event _peek_next() just reported."""
-        if self._use_wheel and self._current:
-            handle = heapq.heappop(self._current)
-            self._wheel_count -= 1
-        else:
-            handle = heapq.heappop(self._overflow)
-        handle._scheduled = False
-        self._pending_live -= 1
-        return handle
 
     def _execute(self, handle: EventHandle) -> None:
         self._now = handle.time
@@ -656,13 +467,15 @@ class Simulator:
         """Run the next pending event. Returns False if the engine drained."""
         if self.choice_hook is not None:
             head = self._dispatch_choice()
-            if head is None:
-                return False
-            self._execute(head)
-            return True
-        if self._peek_next() is None:
+        else:
+            head = self._peek_next()
+            if head is not None:
+                heapq.heappop(self._queue)
+                head._scheduled = False
+                self._pending_live -= 1
+        if head is None:
             return False
-        self._execute(self._pop_next())
+        self._execute(head)
         return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -680,36 +493,25 @@ class Simulator:
             return self._run_with_choice_hook(until, max_events)
         executed = 0
         self._running = True
-        # The body below is _pop_next() + _execute() inlined: one event is
+        # The body below is step() + _execute() inlined: one event is
         # dispatched per iteration and this loop is the single hottest frame
         # in every benchmark, so the per-event method-call overhead is worth
         # trading away. step() keeps the readable composed form.
-        peek = self._peek_next
+        queue = self._queue
         pop = heapq.heappop
-        use_wheel = self._use_wheel
         rearm = self._rearm
         try:
-            while True:
+            while queue:
                 if max_events is not None and executed >= max_events:
                     break
-                # Fast path: a live head at the front of the active slot.
-                # Everything else (cancelled heads, wheel advance, overflow
-                # refill, heap-only mode) funnels through _peek_next().
-                current = self._current
-                if use_wheel and current and not current[0].cancelled:
-                    head = current[0]
-                else:
-                    head = peek()
-                if head is None:
-                    break
-                time = head.time
+                time, _seq, head = queue[0]
+                if head.cancelled:
+                    pop(queue)
+                    head._scheduled = False
+                    continue
                 if until is not None and time > until:
                     break
-                if use_wheel and self._current:
-                    pop(self._current)
-                    self._wheel_count -= 1
-                else:
-                    pop(self._overflow)
+                pop(queue)
                 head._scheduled = False
                 self._pending_live -= 1
                 self._now = time
@@ -728,6 +530,8 @@ class Simulator:
                 executed += 1
                 order_log = self.order_log
                 if order_log is not None:
+                    # head.seq is read after the re-arm: a periodic event
+                    # logs the seq of its next firing.
                     order_log.append((time, head.seq))
         finally:
             self._running = False
@@ -751,20 +555,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # snapshot / restore
 
-    def _resident_handles(self) -> Iterable[EventHandle]:
-        """Every handle currently parked in a queue structure (cancelled
-        ones included until their lazy drop)."""
-        yield from self._current
-        yield from self._overflow
-        for bucket in self._buckets:
-            if bucket:
-                yield from bucket
+    def _resident_handles(self) -> List[EventHandle]:
+        """Every handle currently in the event heap (cancelled ones
+        included until they reach the head)."""
+        return [entry[2] for entry in self._queue]
 
     def fork(self) -> "EngineSnapshot":
-        """Capture a restorable snapshot of the event queues.
+        """Capture a restorable snapshot of the event heap.
 
         Handles are *shared* with the snapshot, not copied: their mutable
-        fields (time/seq/cancelled/placement) are recorded so ``restore()``
+        fields (time/seq/cancelled/scheduled) are recorded so ``restore()``
         can rewrite them in place, preserving identity -- callbacks, daemon
         re-arm chains and cached references all keep pointing at the same
         objects. ``fn``/``args``/``interval`` never mutate after creation
@@ -778,7 +578,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("cannot fork a running simulator")
-        for handle in self._resident_handles():
+        handles = self._resident_handles()
+        for handle in handles:
             if live_continuation(handle):
                 raise SimulationError(
                     f"cannot fork with live generator continuation pending: "
@@ -788,61 +589,38 @@ class Simulator:
             seq=self._seq,
             now=self._now,
             pending_live=self._pending_live,
-            cursor_slot=self._cursor_slot,
-            cursor_time=self._cursor_time,
-            wheel_count=self._wheel_count,
             events_executed=self.events_executed,
             order_len=len(self.order_log) if self.order_log is not None else None,
-            current=list(self._current),
-            overflow=list(self._overflow),
-            buckets={
-                i: list(b) for i, b in enumerate(self._buckets) if b
-            },
-            bucket_dead=list(self._bucket_dead),
+            queue=list(self._queue),
             handle_fields=[
-                (h, h.time, h.seq, h.cancelled, h._bucket, h._scheduled)
-                for h in self._resident_handles()
+                (h, h.time, h.seq, h.cancelled, h._scheduled) for h in handles
             ],
         )
 
     def restore(self, snap: "EngineSnapshot") -> None:
-        """Rewind the event queues to a snapshot taken by :meth:`fork`.
+        """Rewind the event heap to a snapshot taken by :meth:`fork`.
 
         Restore order matters: (1) orphan every currently-resident handle so
         post-fork events cannot corrupt the accounting via a later
         ``cancel()``; (2) rewrite the recorded fields of every snapshotted
-        handle (healing post-fork execution, re-arms, cancellation and
-        bucket compaction); (3) reinstall the queue structure copies;
-        (4) scalars; (5) truncate the order log.
+        handle (healing post-fork execution, re-arms and cancellation);
+        (3) reinstall the heap copy; (4) scalars; (5) truncate the order
+        log.
         """
         if self._running:
             raise SimulationError("cannot restore a running simulator")
         for handle in self._resident_handles():
             handle._scheduled = False
-            handle._bucket = -1
-        for handle, time, seq, cancelled, bucket, scheduled in snap.handle_fields:
+        for handle, time, seq, cancelled, scheduled in snap.handle_fields:
             handle.time = time
             handle.seq = seq
             handle.cancelled = cancelled
-            handle._bucket = bucket
             handle._scheduled = scheduled
-        # The list copies preserved heap order, so no re-heapify is needed.
-        self._current = list(snap.current)
-        self._overflow = list(snap.overflow)
-        if self._use_wheel:
-            buckets = self._buckets
-            for i, bucket in enumerate(buckets):
-                if bucket:
-                    buckets[i] = []
-            for i, saved in snap.buckets.items():
-                buckets[i] = list(saved)
-            self._bucket_dead = list(snap.bucket_dead)
+        # The list copy preserved heap order, so no re-heapify is needed.
+        self._queue[:] = snap.queue
         self._seq = snap.seq
         self._now = snap.now
         self._pending_live = snap.pending_live
-        self._cursor_slot = snap.cursor_slot
-        self._cursor_time = snap.cursor_time
-        self._wheel_count = snap.wheel_count
         self.events_executed = snap.events_executed
         if self.order_log is not None and snap.order_len is not None:
             del self.order_log[snap.order_len:]
@@ -868,9 +646,8 @@ class EngineSnapshot:
     """Opaque engine state captured by :meth:`Simulator.fork`."""
 
     __slots__ = (
-        "seq", "now", "pending_live", "cursor_slot", "cursor_time",
-        "wheel_count", "events_executed", "order_len", "current",
-        "overflow", "buckets", "bucket_dead", "handle_fields",
+        "seq", "now", "pending_live", "events_executed", "order_len", "queue",
+        "handle_fields",
     )
 
     def __init__(self, **fields: Any):

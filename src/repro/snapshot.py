@@ -45,7 +45,7 @@ class SnapshotError(SimulationError):
 #: Global escape hatch (CLI ``--no-snapshots``): when False, every warm-boot
 #: pool boots cold and the model checker backtracks by replay. Snapshots and
 #: replay are bit-identical by construction; the flag exists so any suspected
-#: snapshot bug can be ruled out in one run, same pattern as the timer wheel.
+#: snapshot bug can be ruled out in one run, same pattern as the TLB index.
 _SNAPSHOTS_ENABLED = True
 
 

@@ -94,7 +94,6 @@ def build_fuzz_system(
     frames_per_node: int = FRAMES_PER_NODE,
     monitor_stride: int = 1,
     latr_kwargs: Optional[Dict[str, object]] = None,
-    use_timer_wheel: Optional[bool] = None,
     use_tlb_index: Optional[bool] = None,
     use_pt_replication: Optional[bool] = None,
     use_packed_tlb: Optional[bool] = None,
@@ -104,10 +103,7 @@ def build_fuzz_system(
     """Boot a system for one fuzz run, with every schedule knob applied
     *before* the kernel starts (tick offsets matter from the first tick)."""
     mutation = mutation_spec(mutate) if mutate is not None else None
-    simulator_cls = Simulator
-    if mutation is not None and mutation.simulator_cls is not None:
-        simulator_cls = mutation.simulator_cls
-    sim = simulator_cls(use_timer_wheel=use_timer_wheel)
+    sim = Simulator()
     spec = preset("commodity-2s16c")
     if plan.n_cores >= 2 and plan.n_cores % 2 == 0:
         # Keep two NUMA nodes regardless of core count so migration and
@@ -521,7 +517,6 @@ def run_one(
     frames_per_node: int = FRAMES_PER_NODE,
     monitor_stride: int = 1,
     latr_kwargs: Optional[Dict[str, object]] = None,
-    use_timer_wheel: Optional[bool] = None,
     use_tlb_index: Optional[bool] = None,
     use_pt_replication: Optional[bool] = None,
     use_packed_tlb: Optional[bool] = None,
@@ -547,7 +542,6 @@ def run_one(
             frames_per_node=frames_per_node,
             monitor_stride=monitor_stride,
             latr_kwargs=latr_kwargs,
-            use_timer_wheel=use_timer_wheel,
             use_tlb_index=use_tlb_index,
             use_pt_replication=use_pt_replication,
             use_packed_tlb=use_packed_tlb,
@@ -565,7 +559,7 @@ def run_one(
             tuple(sorted(plan.schedule.tick_offsets.items())),
             frames_per_node, monitor_stride,
             tuple(sorted((latr_kwargs or {}).items())),
-            use_timer_wheel, use_tlb_index, use_pt_replication,
+            use_tlb_index, use_pt_replication,
             use_packed_tlb, use_frame_slabs, use_virtualization,
         )
         system = pool.acquire(key, build)

@@ -55,7 +55,7 @@ from .program import McOp, generate_program, per_core_programs
 #: re-run a trace with one fast-path escape hatch or engine order flipped
 #: (identical end state required), or under a synchronous mechanism
 #: (normalized end state required).
-TOGGLE_VARIANTS = ("wheel", "tlbidx", "sweepidx", "soa", "packedtlb", "slabs")
+TOGGLE_VARIANTS = ("tlbidx", "sweepidx", "soa", "packedtlb", "slabs")
 ORDER_VARIANTS = ("revheap",)
 
 #: LatrFlag member -> .name memo: enum attribute access goes through a
@@ -131,17 +131,12 @@ class McExecutor:
 
     def _boot(self) -> None:
         scope, variant = self.scope, self.variant
-        simulator_cls = Simulator
-        if self.mutation is not None and self.mutation.simulator_cls is not None:
-            simulator_cls = self.mutation.simulator_cls
-        if variant == "wheel":
-            sim = simulator_cls(use_timer_wheel=True)
-        elif variant == "revheap":
-            sim = simulator_cls(choice_hook=lambda ready: len(ready) - 1)
+        if variant == "revheap":
+            sim = Simulator(choice_hook=lambda ready: len(ready) - 1)
         else:
             # Front-first through the ready-set hook: deterministic heap
             # order, but dispatched through the controllable scheduler path.
-            sim = simulator_cls(choice_hook=lambda ready: 0)
+            sim = Simulator(choice_hook=lambda ready: 0)
 
         if self._is_mech:
             coherence = make_mechanism(variant.split(":", 1)[1])

@@ -27,8 +27,9 @@ action whose post-state hashes identically -- is reported as a livelock
 finding; this is how sweep-cache staleness shows up exhaustively.
 
 Complete (maximal, drained) traces run through the differential oracle:
-replayed with each fast-path escape hatch toggled (timer wheel, TLB
-index, sweep index -- end state must be hash-identical), with the
+replayed with each fast-path escape hatch toggled (TLB index, sweep
+index, SoA states, packed TLB, frame slabs -- end state must be
+hash-identical), with the
 engine's same-instant event order reversed through the ready-set hook
 (normalized end state must match), and under each synchronous mechanism
 (normalized end state must match). Counterexample traces are shrunk with
@@ -74,8 +75,8 @@ class McConfig:
     shrink_budget: int = 60
     #: Backtrack via in-place world snapshots (O(1) per sibling) instead of
     #: replaying every prefix from a cold boot (O(depth)). False is the
-    #: bit-identical escape hatch, same pattern as the timer wheel and the
-    #: sweep index; mutated scopes force the replay path because a mutation
+    #: bit-identical escape hatch, same pattern as the TLB and sweep
+    #: indexes; mutated scopes force the replay path because a mutation
     #: may carry broken state the snapshot layer does not model.
     use_snapshots: bool = True
 

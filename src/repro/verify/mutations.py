@@ -4,7 +4,7 @@ The verification suite's own correctness claim ("zero findings means the
 mechanism is safe under these schedules") is only credible if a *broken*
 system fails the same harnesses. Each :class:`Mutation` spec re-introduces
 one bug class the design rules exist to prevent, at whichever layer the
-bug lives (coherence algorithm, simulator engine, or TLB hardware model):
+bug lives (coherence algorithm, TLB hardware model, or kernel mm facade):
 
 * ``reclaim_delay_zero`` -- the reclamation daemon trusts the age-based
   delay alone (the paper's two-tick rule) instead of also requiring an
@@ -13,10 +13,6 @@ bug lives (coherence algorithm, simulator engine, or TLB hardware model):
 * ``skip_sweep_invalidate`` -- the sweep clears its bitmask bit (so
   reclamation proceeds on schedule) but "forgets" the TLB invalidation,
   modelling a lost INVLPG: every reclaim then races a live stale entry.
-* ``wheel_bucket_skip`` -- the timer-wheel engine silently drops every
-  Nth activated bucket, modelling a lost timer interrupt batch: sweeps,
-  reclaim rounds, or op resumptions vanish and the system stops making
-  progress (and diverges from the ``use_timer_wheel=False`` heap replay).
 * ``tlb_index_desync`` -- the per-pcid TLB victim index misses every
   second fill, so indexed range invalidations skip a resident entry:
   a stale translation survives the shootdown and races the frame free.
@@ -40,9 +36,9 @@ bug lives (coherence algorithm, simulator engine, or TLB hardware model):
 
 The first two, ``tlb_index_desync``, ``broken_replica``, and
 ``broken_ept_shootdown`` must be caught by the
-:class:`~repro.verify.monitor.InvariantMonitor`; the engine and cache
-mutations are liveness/equivalence bugs caught by the drain guards and
-the differential oracles. The mutation tests and the model checker's
+:class:`~repro.verify.monitor.InvariantMonitor`; ``active_cache_stale`` is
+a liveness/equivalence bug caught by the drain guards and the
+differential oracles. The mutation tests and the model checker's
 mutation-audit experiment gate on exactly that.
 """
 
@@ -55,12 +51,10 @@ from ..coherence.latr import LatrCoherence
 from ..coherence.numapte import NumaPteCoherence
 from ..coherence.states import LatrFlag, LatrState
 from ..hw.machine import Machine
-from ..sim.engine import Simulator
 
 MUTATIONS = (
     "reclaim_delay_zero",
     "skip_sweep_invalidate",
-    "wheel_bucket_skip",
     "tlb_index_desync",
     "active_cache_stale",
     "broken_replica",
@@ -72,8 +66,8 @@ MUTATIONS = (
 class Mutation:
     """One injectable bug: which layer it patches and how it must be caught.
 
-    A spec may swap the coherence class, swap the simulator class, and/or
-    patch the built machine in place -- whichever layer hosts the bug.
+    A spec may swap the coherence class and/or patch the built machine or
+    kernel in place -- whichever layer hosts the bug.
     ``detected_by`` documents the oracle expected to flag it:
 
     * ``"monitor"`` -- instant-level invariant violations,
@@ -85,7 +79,6 @@ class Mutation:
     name: str
     description: str
     coherence_cls: Optional[Type] = None
-    simulator_cls: Optional[Type[Simulator]] = None
     machine_patch: Optional[Callable[[Machine], None]] = None
     #: Applied to the freshly-built Kernel (before any process exists);
     #: hosts bugs that live below the coherence layer (e.g. the mm facade).
@@ -161,37 +154,8 @@ class SkipSweepInvalidateLatr(LatrCoherence):
 
 
 # ---------------------------------------------------------------------------
-# PR 4 fast-path mutations (engine / TLB index / sweep cache)
+# Fast-path mutations (TLB index / sweep cache)
 # ---------------------------------------------------------------------------
-
-
-class BucketSkipSimulator(Simulator):
-    """Mutation: the timer wheel drops every Nth activated bucket.
-
-    Models a lost batch of timer interrupts. Inert in heap mode
-    (``use_timer_wheel=False`` never advances the wheel), which is exactly
-    what makes the wheel-vs-heap differential replay catch it.
-    """
-
-    mutation = "wheel_bucket_skip"
-    skip_period = 2
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._bucket_activations = 0
-
-    def _advance_wheel(self) -> None:
-        super()._advance_wheel()
-        self._bucket_activations += 1
-        if self._bucket_activations % self.skip_period:
-            return
-        # BUG: the freshly-activated slot's events are discarded unseen.
-        dropped, self._current = self._current, []
-        self._wheel_count -= len(dropped)
-        for handle in dropped:
-            if not handle.cancelled:
-                self._pending_live -= 1
-            handle._scheduled = False
 
 
 def desync_tlb_index(machine: Machine) -> None:
@@ -336,12 +300,6 @@ MUTATION_SPECS: Dict[str, Mutation] = {
             detected_by="monitor",
         ),
         Mutation(
-            name="wheel_bucket_skip",
-            description="timer wheel drops every 2nd activated bucket",
-            simulator_cls=BucketSkipSimulator,
-            detected_by="progress",
-        ),
-        Mutation(
             name="tlb_index_desync",
             description="per-pcid TLB victim index misses every 2nd fill",
             machine_patch=desync_tlb_index,
@@ -385,7 +343,7 @@ def mutation_spec(mutation: str) -> Mutation:
 def mutated_latr_class(mutation: str) -> Type[LatrCoherence]:
     """The (possibly unmutated) LATR class for ``mutation``.
 
-    Engine- and machine-level mutations keep the healthy coherence class;
+    Machine- and kernel-level mutations keep the healthy coherence class;
     use :func:`mutation_spec` to apply every layer of a mutation.
     """
     return mutation_spec(mutation).coherence_cls or LatrCoherence

@@ -4,7 +4,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from helpers import drain, make_proc, run_to_completion
+
+from repro import build_system
 from repro.hw.tlb import HUGE_SPAN, NO_PCID, Tlb, TlbEntry, entry_pfn
+from repro.mm.addr import PAGE_SIZE
+from repro.verify.fuzzer import run_one
+from repro.verify.plan import generate_plan
 
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -187,6 +193,48 @@ class TestIndexedVsScan:
         assert results[0] == results[1]
         overlaps = base < start + width and base + HUGE_SPAN > start
         assert results[0][0] == (1 if overlaps else 0)
+
+
+class TestIndexEndToEnd:
+    """``use_tlb_index`` on vs off through a whole booted system: identical
+    modelled behaviour."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 27])
+    def test_fuzz_plans_identical(self, seed):
+        plan = generate_plan(seed, 40, n_cores=4, n_procs=2)
+        indexed = run_one("latr", plan, use_tlb_index=True)
+        scan = run_one("latr", plan, use_tlb_index=False)
+        assert indexed.clean, (indexed.violations, indexed.errors)
+        assert scan.clean, (scan.violations, scan.errors)
+        assert indexed.stats_summary == scan.stats_summary
+        assert indexed.snapshot == scan.snapshot
+        assert indexed.sim_time_ns == scan.sim_time_ns
+
+    def test_tlb_stats_identical(self):
+        def run(use_tlb_index):
+            system = build_system("latr", cores=4, use_tlb_index=use_tlb_index)
+            kernel = system.kernel
+            _proc, tasks = make_proc(system)
+            sc = kernel.syscalls
+
+            def body():
+                t0, c0 = tasks[0], kernel.machine.core(0)
+                t1, c1 = tasks[1], kernel.machine.core(1)
+                for _ in range(4):
+                    vr = yield from sc.mmap(t0, c0, 8 * PAGE_SIZE)
+                    yield from sc.touch_pages(t0, c0, vr, write=True)
+                    yield from sc.touch_pages(t1, c1, vr)
+                    yield from sc.munmap(t0, c0, vr)
+
+            run_to_completion(system, body())
+            drain(system, ms=8)
+            return (
+                kernel.stats.summary(),
+                [core.tlb.stats() for core in kernel.machine.cores],
+                system.sim.now,
+            )
+
+        assert run(True) == run(False)
 
 
 class TestAccessors:

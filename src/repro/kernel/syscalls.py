@@ -440,8 +440,10 @@ class Syscalls:
         page_table = mm.page_table
         mmap_sem = mm.mmap_sem
         node = core.socket
-        faults_total = stats.counter("faults.total")
-        faults_anon = stats.counter("faults.minor-anon")
+        # Both counters are created at their first increment, as on the
+        # generic path: a batch that takes no anonymous fault must not
+        # report ``faults.minor-anon: 0``.
+        faults_total = faults_anon = None
         on_tlb_fill = kernel.coherence.on_tlb_fill
         base_ns = lat.page_fault_base_ns
         anon_ns = lat.page_alloc_ns + lat.page_zero_ns + lat.pte_set_ns
@@ -469,6 +471,8 @@ class Syscalls:
                 continue
             # Unmapped page: the fault entry sequence of
             # PageFaultHandler.handle, flattened.
+            if faults_total is None:
+                faults_total = stats.counter("faults.total")
             faults_total.add()
             yield from core.execute(base_ns)
             yield mmap_sem.acquire()
@@ -505,6 +509,8 @@ class Syscalls:
                     walk_ns + on_tlb_fill(core, mm, vpn) + drain_replica_work(core, mm)
                     + ept_fill(mm, pfn)
                 )
+                if faults_anon is None:
+                    faults_anon = stats.counter("faults.minor-anon")
                 faults_anon.add()
                 continue
             if result.fatal:

@@ -15,6 +15,7 @@ from repro.sim.arrivals import (
     make_arrivals,
 )
 from repro.sim.engine import SEC
+from repro.workloads.apache import run_apache
 from repro.workloads.openloop import run_openloop
 
 #: Small, fast open-loop scope shared by the tests below.
@@ -113,9 +114,15 @@ class TestOpenLoopWorkload:
 
     def test_batched_and_generic_fault_paths_agree(self):
         # The batched touch_pages path is a wall-clock optimisation only:
-        # every modelled result must match the per-page generic path.
+        # every modelled result must match the per-page generic path, on
+        # anonymous (open-loop) and file-backed (Apache) touches alike.
         batched = run_openloop("linux", use_batched_faults=True, **SMALL)
         generic = run_openloop("linux", use_batched_faults=False, **SMALL)
+        assert batched.metrics == generic.metrics
+        assert batched.counters == generic.counters
+        apache = dict(cores=2, warmup_ms=2, duration_ms=5)
+        batched = run_apache("latr", {"use_batched_faults": True}, **apache)
+        generic = run_apache("latr", {"use_batched_faults": False}, **apache)
         assert batched.metrics == generic.metrics
         assert batched.counters == generic.counters
 

@@ -68,7 +68,7 @@ def fuzz_mutation(fast: bool = False) -> ExperimentResult:
             FuzzConfig(seed=1, n_ops=n_ops, mutate=mutation, shrink=not fast)
         )
         latr = report.results["latr"]
-        # Safety mutations show up as invariant violations; liveness/engine
+        # Safety mutations show up as invariant violations; liveness
         # mutations as stall or drain errors; equivalence bugs as end-state
         # mismatches against the synchronous baseline.
         caught = bool(latr.violations or latr.errors or "latr" in report.mismatches)
@@ -98,9 +98,10 @@ def fuzz_mutation(fast: bool = False) -> ExperimentResult:
         rows=rows,
         paper_expectation=(
             "every broken variant (eager reclaim without the bitmask guard; "
-            "sweep that skips the TLB invalidation; dropped timer buckets; "
-            "desynced TLB index; stale sweep cache) is flagged by the "
-            "invariant monitor, the progress guards, or the differential"
+            "sweep that skips the TLB invalidation; desynced TLB index; "
+            "stale sweep cache; broken replica; skipped EPT shootdown) is "
+            "flagged by the invariant monitor, the progress guards, or the "
+            "differential"
         ),
         notes="MISSED: " + ", ".join(missed) if missed else "all mutations detected",
     )

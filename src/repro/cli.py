@@ -31,6 +31,32 @@ COVERAGE_FLOOR = 92
 # default rotation and its held-out one.
 FLEET_SMOKE_SEEDS = (1, 7919)
 
+# The commands that read each command-specific option. An option given to
+# any other command exits 2 rather than being silently ignored, so every
+# option's default is one a user cannot type (None, or False for a
+# switch) and the command that reads it applies the real default.
+# "<experiment>" is any experiment id, or "all".
+_EXPERIMENT = "<experiment>"
+OPTION_READERS = {
+    "--fast": (_EXPERIMENT, "fuzz"),
+    "--jobs": (_EXPERIMENT, "mc"),
+    "--seed": ("fuzz",),
+    "--ops": ("fuzz", "mc"),
+    "--mutate": ("fuzz", "mc"),
+    "--cores": ("mc",),
+    "--pages": ("mc",),
+    "--budget": ("mc",),
+    "--no-diff": ("mc",),
+    "--legacy-latency-stats": (_EXPERIMENT, "bench"),
+    "--no-snapshots": (_EXPERIMENT, "fuzz", "mc"),
+    "--quick": ("bench",),
+    "--check-regression": ("bench",),
+    "--threshold": ("bench",),
+    "--bench-dir": ("bench",),
+    "--output": (_EXPERIMENT, "fuzz", "mc"),
+    "--csv-dir": (_EXPERIMENT,),
+}
+
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
@@ -58,15 +84,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "-j",
         "--jobs",
         type=int,
-        default=1,
-        help="run cells on N worker processes (0 = one per CPU); tables are "
-        "byte-identical to --jobs 1 (default: 1, fully in-process)",
+        default=None,
+        help="experiments/mc: run cells on N worker processes (0 = one per "
+        "CPU); tables are byte-identical to --jobs 1 (default: 1, fully "
+        "in-process)",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=1,
-        help="fuzz: RNG seed for the workload+schedule plan",
+        default=None,
+        help="fuzz: RNG seed for the workload+schedule plan (default 1)",
     )
     parser.add_argument(
         "--ops",
@@ -84,21 +111,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--cores",
         type=int,
-        default=3,
-        help="mc: cores in the model-checked scope (1-4)",
+        default=None,
+        help="mc: cores in the model-checked scope (1-4, default 3)",
     )
     parser.add_argument(
         "--pages",
         type=int,
-        default=2,
-        help="mc: page slots in the model-checked scope (1-3)",
+        default=None,
+        help="mc: page slots in the model-checked scope (1-3, default 2)",
     )
     parser.add_argument(
         "--budget",
         type=int,
-        default=200_000,
+        default=None,
         help="mc: per-cell explored-state budget (deterministic; the run "
-        "reports 'incomplete' when hit)",
+        "reports 'incomplete' when hit; default 200000)",
     )
     parser.add_argument(
         "--no-diff",
@@ -161,6 +188,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.run_target is not None:
         parser.error(f"unexpected extra argument {args.run_target!r}")
 
+    command = args.experiment
+    if command not in ("list", "fuzz", "mc", "bench", "ci"):
+        command = _EXPERIMENT
+    for flag, readers in OPTION_READERS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if command not in readers and value is not None and value is not False:
+            print(f"error: {flag} applies only to: {', '.join(readers)}", file=sys.stderr)
+            return 2
+
     if args.no_snapshots:
         from .snapshot import set_snapshots_enabled
 
@@ -191,7 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     exp_ids = available_experiments() if args.experiment == "all" else [args.experiment]
     sink = open(args.output, "a") if args.output else None
     try:
-        if args.jobs != 1:
+        if args.jobs is not None and args.jobs != 1:
             # Sharded backend: the union of every experiment's cells goes
             # into one worker pool; tables come back in experiment order,
             # byte-identical to the serial path.
@@ -269,7 +305,7 @@ def _run_fuzz_command(args) -> int:
     ops = 200 if args.ops is None else args.ops
     n_ops = min(ops, 120) if args.fast else ops
     config = FuzzConfig(
-        seed=args.seed,
+        seed=1 if args.seed is None else args.seed,
         n_ops=n_ops,
         mutate=args.mutate,
         shrink_budget=30 if args.fast else 60,
@@ -300,24 +336,25 @@ def _run_mc_command(args) -> int:
             file=sys.stderr,
         )
         return 2
+    cores = 3 if args.cores is None else args.cores
+    pages = 2 if args.pages is None else args.pages
     ops = 5 if args.ops is None else args.ops
-    if not (1 <= args.cores <= 4 and 1 <= args.pages <= 3 and 0 <= ops <= 10):
+    if not (1 <= cores <= 4 and 1 <= pages <= 3 and 0 <= ops <= 10):
         print(
             "mc is a small-scope exhaustive checker: --cores 1-4, --pages 1-3, "
-            f"--ops 0-10 (got cores={args.cores} pages={args.pages} ops={ops})",
+            f"--ops 0-10 (got cores={cores} pages={pages} ops={ops})",
             file=sys.stderr,
         )
         return 2
     config = McConfig(
-        scope=McScope(
-            cores=args.cores, pages=args.pages, ops=ops, mutate=args.mutate
-        ),
-        max_nodes=args.budget,
+        scope=McScope(cores=cores, pages=pages, ops=ops, mutate=args.mutate),
+        max_nodes=200_000 if args.budget is None else args.budget,
         differential=not args.no_diff,
         use_snapshots=not args.no_snapshots,
     )
     started = time.time()
-    result = run_mc(config, jobs=resolve_jobs(args.jobs) if args.jobs != 1 else 1)
+    jobs = 1 if args.jobs is None else args.jobs
+    result = run_mc(config, jobs=resolve_jobs(jobs) if jobs != 1 else 1)
     text = result.render()
     print(text)
     print(f"[mc done in {time.time() - started:.1f}s]")
@@ -570,7 +607,9 @@ def _run_ci_command(args) -> int:
         env["PYTHONPATH"] = src_dir + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        argv = [sys.executable, "-m", "pytest", "-x", "-q"]
+        # --durations lists the slowest tests in every CI log: the input a
+        # tier-1 wall-time budget is set from.
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "--durations=15"]
         if importlib.util.find_spec("pytest_cov") is not None:
             # Coverage gate rides along wherever the dev extras are
             # installed; environments without pytest-cov still run the

@@ -27,24 +27,39 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def check_tlb_frame_safety(kernel: "Kernel") -> List[str]:
-    """Invariant 1: no TLB entry points at a freed or recycled frame."""
-    violations = []
+    """Invariant 1: no TLB entry points at a freed or recycled frame.
+
+    The monitor runs this at every notification, so each core's entries
+    are checked as bare ``(pfn, generation)`` pairs; only a core with a
+    failing entry is walked again entry by entry to word its violations."""
+    violations: List[str] = []
+    frames = kernel.frames
+    is_allocated = frames.is_allocated
+    generation = frames.generation
     for core in kernel.machine.cores:
-        entries = list(core.tlb.items()) + [
-            (key, entry) for key, entry in core.tlb.huge_items()
-        ]
-        for (pcid, vpn), entry in entries:
-            if not kernel.frames.is_allocated(entry.pfn):
-                violations.append(
-                    f"core {core.id}: TLB entry vpn={vpn:#x} pcid={pcid} "
-                    f"maps FREED frame {entry.pfn}"
-                )
-            elif kernel.frames.generation(entry.pfn) != entry.generation:
-                violations.append(
-                    f"core {core.id}: TLB entry vpn={vpn:#x} pcid={pcid} "
-                    f"maps RECYCLED frame {entry.pfn} "
-                    f"(gen {entry.generation} -> {kernel.frames.generation(entry.pfn)})"
-                )
+        for pfn, gen in core.tlb.frame_refs():
+            if not is_allocated(pfn) or generation(pfn) != gen:
+                violations += _tlb_frame_violations(core, frames)
+                break
+    return violations
+
+
+def _tlb_frame_violations(core, frames) -> List[str]:
+    """Every frame-safety violation of one core's TLB, worded."""
+    violations = []
+    tlb = core.tlb
+    for (pcid, vpn), entry in list(tlb.items()) + list(tlb.huge_items()):
+        if not frames.is_allocated(entry.pfn):
+            violations.append(
+                f"core {core.id}: TLB entry vpn={vpn:#x} pcid={pcid} "
+                f"maps FREED frame {entry.pfn}"
+            )
+        elif frames.generation(entry.pfn) != entry.generation:
+            violations.append(
+                f"core {core.id}: TLB entry vpn={vpn:#x} pcid={pcid} "
+                f"maps RECYCLED frame {entry.pfn} "
+                f"(gen {entry.generation} -> {frames.generation(entry.pfn)})"
+            )
     return violations
 
 

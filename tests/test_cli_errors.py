@@ -1,5 +1,7 @@
 """CLI error paths and plumbing edge cases for ``python -m repro``."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -34,6 +36,51 @@ class TestErrorPaths:
         ):
             assert main(argv) == 2, argv
             assert "small-scope" in capsys.readouterr().err
+
+
+class TestUnreadFlags:
+    """A flag given to a command that does not read it exits 2 with one
+    line naming the commands that do -- never silently ignored."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["tab1", "--cores", "4", "--quick", "--budget", "5", "--threshold", "3"],
+                "error: --cores applies only to: mc",
+            ),
+            (
+                ["mc", "--cores", "2", "--pages", "1", "--ops", "2", "--quick",
+                 "--seed", "9"],
+                "error: --seed applies only to: fuzz",
+            ),
+            (["fuzz", "--jobs", "1"], "error: --jobs applies only to: <experiment>, mc"),
+            (["tab1", "--threshold", "0"], "error: --threshold applies only to: bench"),
+            (["mc", "--fast"], "error: --fast applies only to: <experiment>, fuzz"),
+            (["bench", "--no-snapshots"],
+             "error: --no-snapshots applies only to: <experiment>, fuzz, mc"),
+            (["list", "--seed", "0"], "error: --seed applies only to: fuzz"),
+            (["ci", "--quick"], "error: --quick applies only to: bench"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, argv, line, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line]
+        assert captured.out == ""
+
+    def test_rejected_csv_dir_is_not_created(self, tmp_path, capsys):
+        target = tmp_path / "X"
+        argv = ["mc", "--cores", "2", "--pages", "1", "--ops", "2", "--csv-dir", str(target)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --csv-dir applies only to: <experiment>\n"
+        assert not target.exists()
+
+    def test_readers_still_accept_their_flags(self, capsys):
+        assert main(["mc", "--cores", "2", "--pages", "1", "--ops", "2", "--budget", "500",
+                     "--no-diff", "--jobs", "1"]) == 0
+        assert main(["fuzz", "--seed", "3", "--ops", "10", "--fast"]) == 0
+        assert "verdict: OK" in capsys.readouterr().out
 
 
 class TestJobsPlumbing:

@@ -8,9 +8,12 @@ That single comparison covers both claims at once -- rerun stability
 equals ``--jobs 1``) -- without paying for a third pass of the suite.
 
 Golden fingerprints pin modelled output across commits: the engine's
-executed ``(time, seq)`` order on the engine-stress churn, and the end
-state of three fuzz plans. A change that moves one of them must update
-the value here and say which number moved and why.
+executed ``(time, seq)`` order on the engine-stress churn, the end state
+of three fuzz plans, the model checker's canonical state-hash sets (a
+healthy exhaustive run and three mutation audits, with their search
+counts), and every experiment's ``--fast`` rendered table. Each value is
+the same under ``PYTHONHASHSEED`` 0 and 1. A change that moves any of them
+must update the value here and name the cause in CHANGES.md.
 """
 
 import hashlib
@@ -21,6 +24,7 @@ from repro.bench import run_engine_stress
 from repro.experiments import available_experiments, run_experiment
 from repro.experiments.runner import run_many
 from repro.verify.fuzzer import run_one
+from repro.verify.mc import McConfig, McScope, run_mc
 from repro.verify.plan import generate_plan
 
 
@@ -50,10 +54,115 @@ def test_fuzz_plan_fingerprint(seed, expected):
     ) == expected
 
 
+def _state_hashes(report):
+    hashes = set()
+    for cell in report.cells:
+        hashes |= cell.state_hashes
+    return hashes
+
+
+@pytest.mark.parametrize("differential", [True, False], ids=["diff", "no-diff"])
+def test_mc_healthy_state_set_fingerprint(differential):
+    report = run_mc(
+        McConfig(
+            scope=McScope(cores=3, pages=2, ops=5),
+            collect_hashes=True,
+            stop_on_first=False,
+            differential=differential,
+        )
+    )
+    hashes = _state_hashes(report)
+    assert (
+        report.verdict,
+        report.nodes,
+        sum(cell.complete_leaves for cell in report.cells),
+        report.hash_pruned,
+        report.sleep_skipped,
+        len(hashes),
+    ) == ("ok", 2397, 11, 1375, 456, 472)
+    assert _fingerprint(sorted(hashes)) == "2e98d611ccaedb28"
+
+
+@pytest.mark.parametrize(
+    "mutation, states, expected",
+    [
+        ("skip_sweep_invalidate", 6, "76e3a905ecea0431"),
+        ("active_cache_stale", 7, "72f63a1f07a04234"),
+        ("tlb_index_desync", 6, "60424366306b57dd"),
+    ],
+)
+def test_mc_mutation_state_set_fingerprint(mutation, states, expected):
+    # Mutated runs hash derived state too (include_derived).
+    report = run_mc(
+        McConfig(
+            scope=McScope(cores=2, pages=2, ops=5, mutate=mutation),
+            collect_hashes=True,
+            stop_on_first=True,
+        )
+    )
+    hashes = _state_hashes(report)
+    ce = report.counterexample
+    assert (report.verdict, report.nodes, len(ce.trace), len(ce.shrunk)) == (
+        "violation", 7, 7, 1,
+    )
+    assert len(hashes) == states
+    assert _fingerprint(sorted(hashes)) == expected
+
+
 @pytest.fixture(scope="module")
 def serial_tables():
     ids = available_experiments()
     return ids, {exp_id: run_experiment(exp_id, fast=True).render() for exp_id in ids}
+
+
+#: sha256(render().encode()).hexdigest()[:16] of every experiment's
+#: ``--fast`` table.
+FAST_TABLE_FINGERPRINTS = {
+    "abl-flushthresh": "2c7ebeaff674fda9",
+    "abl-pcid": "258256cb7d3adc3c",
+    "abl-queue": "e79176ea81795872",
+    "abl-reclaim": "6e1d285e10b2918f",
+    "abl-sweep": "bc0f588df3df6821",
+    "fig1": "2561fa56ade8bdb6",
+    "fig10": "62eb23d75b44dd21",
+    "fig11": "6c9b377e8962c4ed",
+    "fig12": "a7916114268d0403",
+    "fig2": "7e89a076d6697194",
+    "fig3": "b287cda7bd09a4a9",
+    "fig6": "9c40c7e7f6cb2beb",
+    "fig7": "77d5186b88f09955",
+    "fig8": "5cbf13f4089f20e5",
+    "fig9": "6214c69c7aafb1ee",
+    "fuzz-mutation": "00df4831815146b9",
+    "fuzz-smoke": "9ee1400ffb31b13e",
+    "mech-compare": "eea2f3e9d429c6f3",
+    "memoverhead": "9cc1d98ea3f40ebb",
+    "model-check": "4720a0134bfd38ed",
+    "model-exhaust": "e7fdba0175f89308",
+    "numapte": "2d03d3c24a51a44c",
+    "slo": "55988c1677b58028",
+    "tab1": "fbb5839f24ef33ff",
+    "tab2": "42899ec42799030a",
+    "tab3": "2f78e5ef7b170673",
+    "tab4": "33723562aa869edb",
+    "tab5": "662a62ed82cffbb7",
+    "tail": "1a685afe8e4783a3",
+    "thp": "4745e62f5de034e1",
+    "virt": "a2fddd3208f227f0",
+}
+
+
+def test_every_experiment_fast_table_fingerprint(serial_tables):
+    ids, tables = serial_tables
+    got = {
+        exp_id: hashlib.sha256(tables[exp_id].encode()).hexdigest()[:16]
+        for exp_id in ids
+    }
+    moved = sorted(
+        exp_id for exp_id in got.keys() | FAST_TABLE_FINGERPRINTS.keys()
+        if got.get(exp_id) != FAST_TABLE_FINGERPRINTS.get(exp_id)
+    )
+    assert not moved, f"--fast tables moved: {moved}"
 
 
 def test_virt_experiment_is_registered(serial_tables):

@@ -253,3 +253,50 @@ class TestAccessors:
         assert pcid == NO_PCID and vpn == 1
         stats = tlb.stats()
         assert stats["resident"] == 1
+
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "object"])
+    def test_frame_refs_match_decoded_items(self, packed):
+        tlb = Tlb(capacity=8, pcid_enabled=True, use_packed=packed)
+        tlb.fill(2, 7, TlbEntry(pfn=40, generation=3))
+        tlb.fill(1, 9, TlbEntry(pfn=41, writable=False, generation=0))
+        tlb.fill_huge(1, HUGE_SPAN, TlbEntry(pfn=512, generation=2))
+        assert tlb.frame_refs() == [
+            (entry.pfn, entry.generation)
+            for _key, entry in list(tlb.items()) + list(tlb.huge_items())
+        ] == [(40, 3), (41, 0), (512, 2)]
+
+
+class TestVersions:
+    """A miss changes nothing, so it must keep both change-tracking
+    versions (the snapshot restore and the model checker's fragment cache
+    key on them); a drop must mint new ones."""
+
+    @pytest.mark.parametrize("use_index", [True, False], ids=["index", "scan"])
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "object"])
+    def test_miss_keeps_versions_and_hit_changes_both(self, packed, use_index):
+        tlb = Tlb(capacity=8, pcid_enabled=True, use_index=use_index, use_packed=packed)
+        fill(tlb, 5)
+        fill(tlb, 6)
+        tlb.fill_huge(1, HUGE_SPAN, TlbEntry(pfn=77))
+
+        def versions():
+            return tlb._state_version, tlb._entries_version
+
+        before = versions()
+        assert tlb.invalidate_page(1, 9) is False
+        assert tlb.invalidate_range(1, 7, 9) == 0
+        assert tlb.invalidate_range(2, 5, 7) == 0
+        assert versions() == before
+        assert tlb.invalidations == 0
+
+        seen = [before]
+        for drop in (
+            lambda: tlb.invalidate_page(1, 5),
+            lambda: tlb.invalidate_range(1, 6, 7),
+            lambda: tlb.invalidate_page(1, HUGE_SPAN + 3),
+        ):
+            assert drop()
+            state, entries = versions()
+            assert all(state != old[0] and entries != old[1] for old in seen)
+            seen.append((state, entries))
+        assert len(tlb) == 0 and tlb.invalidations == 3

@@ -5,10 +5,12 @@ each checker reports it -- otherwise a green property-based suite proves
 nothing.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import build_system
-from repro.hw.tlb import TlbEntry
+from repro.hw.tlb import Tlb, TlbEntry
 from repro.kernel.invariants import (
     check_frame_refcounts,
     check_lazy_vrange_isolation,
@@ -16,6 +18,7 @@ from repro.kernel.invariants import (
     check_tlb_frame_safety,
 )
 from repro.mm.addr import PAGE_SIZE, VirtRange
+from repro.mm.frames import FrameAllocator
 from repro.mm.vma import Prot, Vma
 
 from helpers import make_proc, run_to_completion
@@ -65,6 +68,47 @@ class TestTlbFrameSafetyChecker:
                 break
         violations = check_tlb_frame_safety(kernel)
         assert violations and "RECYCLED" in violations[0]
+
+
+class TestTlbFrameSafetyWording:
+    """Healthy runs never reach the checker's wording branch, so its exact
+    messages and their order are pinned here, for freed and recycled
+    frames behind 4 KiB and huge entries of both TLB representations."""
+
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "object"])
+    def test_messages_and_order(self, packed):
+        frames = FrameAllocator(nodes=1, frames_per_node=4)
+        ok, freed, recycled, _spare = (frames.alloc() for _ in range(4))
+        frames.put(recycled)
+        frames.put(freed)
+        assert frames.alloc() == recycled  # back in use, one generation on
+        cores = [
+            SimpleNamespace(
+                id=core_id, tlb=Tlb(capacity=8, pcid_enabled=True, use_packed=packed)
+            )
+            for core_id in range(3)
+        ]
+        cores[0].tlb.fill(1, 0x10, TlbEntry(pfn=ok))
+        cores[0].tlb.fill_huge(1, 0x400, TlbEntry(pfn=ok))
+        tlb = cores[1].tlb
+        tlb.fill(1, 0x20, TlbEntry(pfn=recycled))
+        tlb.fill(2, 0x21, TlbEntry(pfn=ok))
+        tlb.fill(1, 0x22, TlbEntry(pfn=freed))
+        tlb.fill_huge(3, 0x200, TlbEntry(pfn=freed))
+        tlb.fill_huge(1, 0x600, TlbEntry(pfn=recycled))
+        tlb = cores[2].tlb
+        tlb.fill_huge(2, 0x800, TlbEntry(pfn=recycled))
+        tlb.fill(2, 0x30, TlbEntry(pfn=ok))
+        tlb.fill(2, 0x31, TlbEntry(pfn=freed))
+        kernel = SimpleNamespace(frames=frames, machine=SimpleNamespace(cores=cores))
+        assert check_tlb_frame_safety(kernel) == [
+            "core 1: TLB entry vpn=0x20 pcid=1 maps RECYCLED frame 2 (gen 0 -> 1)",
+            "core 1: TLB entry vpn=0x22 pcid=1 maps FREED frame 1",
+            "core 1: TLB entry vpn=0x200 pcid=3 maps FREED frame 1",
+            "core 1: TLB entry vpn=0x600 pcid=1 maps RECYCLED frame 2 (gen 0 -> 1)",
+            "core 2: TLB entry vpn=0x31 pcid=2 maps FREED frame 1",
+            "core 2: TLB entry vpn=0x800 pcid=2 maps RECYCLED frame 2 (gen 0 -> 1)",
+        ]
 
 
 class TestRefcountChecker:

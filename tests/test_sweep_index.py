@@ -17,11 +17,12 @@ from hypothesis import given, settings
 
 from repro import build_system
 from repro.coherence.latr import LatrCoherence
+from repro.coherence.states import LatrFlag
 from repro.hw.spec import preset
 from repro.hw.topology import Topology
-from repro.mm.addr import PAGE_SIZE
+from repro.mm.addr import PAGE_SIZE, VirtRange
 from repro.mm.mmstruct import MmStruct
-from repro.sim.engine import Simulator
+from repro.sim.engine import Signal, Simulator
 from repro.snapshot import restore_kernel, snapshot_kernel
 from repro.verify.fuzzer import run_one
 from repro.verify.mc.executor import McExecutor, McScope
@@ -334,6 +335,103 @@ class TestInboxSnapshot:
         assert lazy == {core.id for core in machine.cores if core.lazy_tlb_mode}
         drain(system, ms=6)
         assert (system.stats.summary(), _inbox_bookkeeping(coherence)) == after
+
+
+_LIVE_MASK_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("post"), st.integers(0, 7), st.integers(1, 255)),
+        st.tuples(st.just("sweep"), st.integers(0, 7)),
+        st.tuples(st.just("clear"), st.integers(0, 63), st.integers(0, 7)),
+        st.tuples(st.just("shrink"), st.integers(0, 63), st.integers(0, 255)),
+        st.tuples(st.just("deactivate"), st.integers(0, 63)),
+    ),
+    max_size=40,
+)
+
+
+def _apply_live_mask_op(system, mm, posted, op):
+    """One step of :class:`TestLiveMasks` on one leg; returns whether a
+    post was accepted."""
+    coherence = system.kernel.coherence
+    kind = op[0]
+    if kind == "post":
+        _, owner, mask = op
+        cores = {c for c in range(8) if mask >> c & 1}
+        state = coherence._state_cls(
+            vrange=VirtRange.from_pages(0x100 + 4 * len(posted), 2),
+            mm=mm,
+            cpu_bitmask=mask if coherence.use_soa_states else cores,
+            flag=LatrFlag.FREE,
+            owner_core=owner,
+            posted_at=system.sim.now,
+            done=Signal(system.sim),
+            reclaimed=True,
+        )
+        if not coherence.queues[owner].post(state):
+            return False
+        posted.append(state)
+        return True
+    if kind == "sweep":
+        coherence.sweep(system.machine.core(op[1]))
+        return True
+    if not posted:
+        return True
+    state = posted[op[1] % len(posted)]
+    if kind == "clear":
+        state.clear_cpu(op[2], system.sim.now)
+    elif kind == "shrink":
+        state.cpu_bitmask = {c for c in state.cpu_bitmask if op[2] >> c & 1}
+    else:
+        state.active = False
+    return True
+
+
+def _read_masks(system, posted):
+    """Every slot's cpu mask (None for an empty slot) and every posted
+    state's, as core-id sets; packed slots are read through one
+    ``live_masks`` pass per queue, which per-slot ``live_mask`` agrees
+    with."""
+    coherence = system.kernel.coherence
+    slots = []
+    for queue in coherence._queue_list:
+        if coherence.use_soa_states:
+            masks = coherence.live_masks(queue)
+            assert masks == [coherence.live_mask(queue, i) for i in range(queue.depth)]
+            slots.append([
+                None if state is None else {c for c in range(8) if mask >> c & 1}
+                for state, mask in zip(queue._slots, masks)
+            ])
+        else:
+            slots.append([
+                None if state is None else set(state.cpu_bitmask)
+                for state in queue._slots
+            ])
+    return slots, [set(state.cpu_bitmask) for state in posted]
+
+
+class TestLiveMasks:
+    """The one-pass packed masks (``LatrCoherence.live_masks``, which the
+    model checker's hash and enabled actions read) against the object
+    model's per-state bitmask sets, in lockstep through posts, sweeps
+    (cursor moves), ``clear_cpu`` / ``set_live_mask`` shrinks and
+    deactivations, over narrow (at most 4 of 8 cores) and wide states."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_LIVE_MASK_OPS)
+    def test_one_pass_masks_match_object_model(self, ops):
+        legs = []
+        for packed in (True, False):
+            system = build_system(
+                "latr", cores=8, queue_depth=4, use_soa_states=packed
+            )
+            legs.append((system, system.kernel.create_process("p").mm, []))
+        for op in ops:
+            accepted = [_apply_live_mask_op(*leg, op) for leg in legs]
+            assert accepted[0] == accepted[1], op
+            packed_masks, object_masks = (
+                _read_masks(system, posted) for system, _mm, posted in legs
+            )
+            assert packed_masks == object_masks, op
 
 
 def _old_target_ids(machine, mm, initiator_id, counter):

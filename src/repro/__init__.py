@@ -74,8 +74,6 @@ def build_system(
     gate_latencies: Optional[bool] = None,
     use_batched_faults: Optional[bool] = None,
     use_pt_replication: Optional[bool] = None,
-    use_packed_tlb: Optional[bool] = None,
-    use_frame_slabs: Optional[bool] = None,
     use_virtualization: Optional[bool] = None,
     **mechanism_kwargs,
 ) -> System:
@@ -101,20 +99,14 @@ def build_system(
             it); True charges hop-aware walk latency (and, under the
             numapte policy, replicates tables per node); False keeps the
             flat single-table model bit-identically.
-        use_packed_tlb: TLB representation escape hatch -- False keeps
-            the tuple-keyed ``TlbEntry`` object model instead of the
-            packed int-slot layout (default packed).
-        use_frame_slabs: frame allocator escape hatch -- False frees
-            frames one ``put`` at a time instead of through the batched
-            slab path (default slabs).
         use_virtualization: two-level (EPT/NPT) translation -- True makes
             processes VM tasks with gPA->hPA host tables, 2D walk costs,
             and host-level invalidation on free (policy chosen by the
             mechanism's ``host_invalidation`` attribute); False/None keeps
             the flat single-level model byte-identically.
         mechanism_kwargs: forwarded to the mechanism constructor (e.g.
-            ``queue_depth=`` for LATR ablations, ``use_soa_states=`` for
-            the LATR queue representation).
+            ``queue_depth=`` for LATR ablations, ``use_sweep_index=`` for
+            the LATR full-scan reference sweep).
     """
     spec = preset(machine) if isinstance(machine, str) else machine
     if cores is not None:
@@ -127,7 +119,6 @@ def build_system(
         pcid_enabled=pcid,
         use_tlb_index=use_tlb_index,
         gate_latencies=gate_latencies,
-        use_packed_tlb=use_packed_tlb,
     )
     kwargs = {}
     if frames_per_node is not None:
@@ -136,8 +127,6 @@ def build_system(
         kwargs["use_batched_faults"] = use_batched_faults
     if use_pt_replication is not None:
         kwargs["use_pt_replication"] = use_pt_replication
-    if use_frame_slabs is not None:
-        kwargs["use_frame_slabs"] = use_frame_slabs
     if use_virtualization is not None:
         kwargs["use_virtualization"] = use_virtualization
     kernel = Kernel(hw, mech, seed=seed, **kwargs)

@@ -16,7 +16,7 @@ from .hw_assisted import DidiShootdown, UnitdCoherence
 from .latr import LatrCoherence
 from .linux import LinuxShootdown
 from .numapte import NumaPteCoherence
-from .states import DEFAULT_QUEUE_DEPTH, STATE_BYTES, LatrFlag, LatrState, LatrStateQueue
+from .states import DEFAULT_QUEUE_DEPTH, STATE_BYTES, LatrFlag, SoaLatrQueue, SoaLatrState
 
 MECHANISMS = {
     "linux": LinuxShootdown,
@@ -48,8 +48,6 @@ __all__ = [
     "HatricCoherence",
     "LatrCoherence",
     "LatrFlag",
-    "LatrState",
-    "LatrStateQueue",
     "LAZY_POSSIBLE",
     "LinuxShootdown",
     "MECHANISMS",
@@ -58,6 +56,8 @@ __all__ = [
     "NumaPteCoherence",
     "OpClass",
     "OPERATION_CLASSES",
+    "SoaLatrQueue",
+    "SoaLatrState",
     "STATE_BYTES",
     "ShootdownReason",
     "TLBCoherence",

@@ -62,11 +62,10 @@ the whole set-up of a small run.
 
 None of this changes a modelled result: every ns cost, counter, latency and
 experiment row is bit-for-bit identical to the full scan (gated by the
-differential fuzzer, ``tests/test_sweep_index.py`` and the fleet smoke).
-``use_sweep_index=False`` forces the original full scan, and
-``use_soa_states=False`` the object-model indexed sweep
-(:meth:`LatrCoherence._sweep_indexed`); both stay as the references the
-differential tests compare against.
+differential fuzzer, the model checker's toggle replays and
+``tests/test_sweep_index.py``). ``use_sweep_index=False`` forces the
+original full scan (:meth:`LatrCoherence._sweep_full`), which stays as the
+reference those checks compare against.
 """
 
 from __future__ import annotations
@@ -86,8 +85,6 @@ from .states import (
     SOA_MIGRATION,
     SOA_PTE_APPLIED,
     LatrFlag,
-    LatrState,
-    LatrStateQueue,
     SoaLatrQueue,
     SoaLatrState,
 )
@@ -124,33 +121,25 @@ class LatrCoherence(TLBCoherence):
         sweep_on_context_switch: bool = True,
         sweep_on_tick: bool = True,
         use_sweep_index: bool = True,
-        use_soa_states: bool = True,
     ):
         super().__init__()
         self.queue_depth = queue_depth
         self.reclaim_delay_ticks = reclaim_delay_ticks
         self.sweep_on_context_switch = sweep_on_context_switch
         self.sweep_on_tick = sweep_on_tick
-        #: False forces the original O(cores x queue_depth) full scan; the
-        #: bench harness and the equivalence tests compare both paths.
+        #: True runs the inbox sweep (see the module doc); False forces the
+        #: original O(cores x queue_depth) full scan. The bench harness and
+        #: the equivalence tests compare both paths.
         self.use_sweep_index = use_sweep_index
-        #: Escape hatch for the struct-of-arrays queue representation:
-        #: False rebuilds the original one-dataclass-per-state model. The
-        #: two representations are bit-identical in every modelled result
-        #: (stats, canonical hashes); only the simulator's wall-clock differs.
-        self.use_soa_states = use_soa_states
-        self._state_cls = SoaLatrState if use_soa_states else LatrState
-        #: The inbox sweep runs over the packed queues with the index on.
-        self._packed = use_soa_states and use_sweep_index
-        self.queues: Dict[int, LatrStateQueue] = {}
+        self.queues: Dict[int, SoaLatrQueue] = {}
         #: Extra per-sweep cost for cache-thrashing applications whose state
         #: queue lines never stay resident (workload profiles set this; the
         #: paper's canneal overhead comes from exactly this effect).
         self.cold_sweep_extra_ns = 0
         #: FREE states awaiting reclamation, in posting order.
-        self._pending_reclaim: List[LatrState] = []
+        self._pending_reclaim: List[SoaLatrState] = []
         #: Active MIGRATION states indexed for the fault-path gate.
-        self._migration_states: List[LatrState] = []
+        self._migration_states: List[SoaLatrState] = []
         self._reclaimd_started = False
         # --- the active-state index ---
         #: Posted states whose bitmask is non-empty, across all queues.
@@ -159,16 +148,7 @@ class LatrCoherence(TLBCoherence):
         self._last_posted_seq = 0
         #: core id -> last posted seq observed at that core's previous sweep.
         self._sweep_cursor: Dict[int, int] = {}
-        # --- the object-model sweep's index ---
-        #: Core ids whose queues currently hold active states; sweeps visit
-        #: only these (in core-id order, matching the full scan's order).
-        self._active_queue_ids: set = set()
-        #: Snapshot of every posted active state in full-scan visit order
-        #: -- (core id, slot index) -- or None when stale. Membership only
-        #: changes on a post or a final deactivation, which happen orders
-        #: of magnitude less often than the per-tick sweeps that read it.
-        self._active_states_sorted: Optional[List[LatrState]] = None
-        # --- the inbox sweep's index (packed queues; see the module doc) ---
+        # --- the inbox sweep's index (see the module doc) ---
         #: core id -> global slot ids of the narrow states (targeting at
         #: most half the machine) it still has to sweep.
         self._inboxes: List[List[int]] = []
@@ -189,9 +169,8 @@ class LatrCoherence(TLBCoherence):
 
     def attach(self, kernel) -> None:
         super().attach(kernel)
-        queue_cls = SoaLatrQueue if self.use_soa_states else LatrStateQueue
         self.queues = {
-            core.id: queue_cls(core.id, self.queue_depth)
+            core.id: SoaLatrQueue(core.id, self.queue_depth)
             for core in kernel.machine.cores
         }
         for queue in self.queues.values():
@@ -199,8 +178,6 @@ class LatrCoherence(TLBCoherence):
         self._active_state_count = 0
         self._last_posted_seq = 0
         self._sweep_cursor = {}
-        self._active_queue_ids = set()
-        self._active_states_sorted = None
         n_cores = len(self.queues)
         self._queue_list = [self.queues[c] for c in range(n_cores)]
         self._inboxes = [[] for _ in range(n_cores)]
@@ -224,7 +201,6 @@ class LatrCoherence(TLBCoherence):
         self._sweep_latency = stats.latency("latr.sweep")
         machine = kernel.machine
         self._sim = kernel.sim
-        self._topo = machine.topology
         self._llc = machine.llc
         self._full_flush_threshold = machine.spec.full_flush_threshold
         lat = machine.latency
@@ -232,8 +208,6 @@ class LatrCoherence(TLBCoherence):
         self._sweep_per_entry_ns = lat.latr_sweep_per_entry_ns
         self._invlpg_ns = lat.tlb_invlpg_ns
         self._full_flush_ns = lat.tlb_full_flush_ns
-        self._state_pull = lat.latr_state_pull
-        self._core_hops = machine.topology.core_hops
         self._record_state_traffic = machine.llc.record_state_traffic
         # Inbox sweep tables: the topology's socket map and, per sweeping
         # socket, (remote socket, pull cost) for every socket a hop away.
@@ -253,14 +227,12 @@ class LatrCoherence(TLBCoherence):
 
     # ---- the active-state index (queue callbacks) -------------------------------
 
-    def note_posted(self, queue: LatrStateQueue, state: LatrState) -> None:
-        """A queue accepted an active state (called by ``LatrStateQueue.post``)."""
+    def note_posted(self, queue: SoaLatrQueue, state: SoaLatrState) -> None:
+        """A queue accepted an active state (called by ``SoaLatrQueue.post``)."""
         self._active_state_count += 1
         if state.seq > self._last_posted_seq:
             self._last_posted_seq = state.seq
-        if not self._packed:
-            self._active_queue_ids.add(queue.core_id)
-            self._active_states_sorted = None
+        if not self.use_sweep_index:
             return
         idx = state.slot_idx
         gid = queue.core_id << self._slot_bits | idx
@@ -301,14 +273,11 @@ class LatrCoherence(TLBCoherence):
         if not excluded:
             del self._excluded[core_id]
 
-    def note_deactivated(self, queue: LatrStateQueue, state: LatrState) -> None:
-        """A posted state went inactive (via the ``LatrState.active`` setter)."""
+    def note_deactivated(self, queue: SoaLatrQueue, state: SoaLatrState) -> None:
+        """A posted state went inactive (via the ``SoaLatrState.active`` setter)."""
         if self._active_state_count > 0:
             self._active_state_count -= 1
-        if not self._packed:
-            if queue.active_count == 0:
-                self._active_queue_ids.discard(queue.core_id)
-            self._active_states_sorted = None
+        if not self.use_sweep_index:
             return
         idx = state.slot_idx
         gid = queue.core_id << self._slot_bits | idx
@@ -339,7 +308,7 @@ class LatrCoherence(TLBCoherence):
             del seqs[at]
         self._unapplied.discard(gid)
 
-    # ---- the cpu mask of a posted packed state ------------------------------------
+    # ---- the cpu mask of a posted state --------------------------------------------
 
     def _pending_mask(self, mask: int, seq: int) -> int:
         """``mask`` restricted to the cores whose cursor is below ``seq``."""
@@ -360,7 +329,7 @@ class LatrCoherence(TLBCoherence):
         one slot, the model checker for whole queues), so there is one
         rule to read by."""
         masks = queue._mask_a[:]
-        if self._packed:
+        if self.use_sweep_index:
             # The queue's active map holds exactly its active states.
             for state in queue._active_map.values():
                 idx = state.slot_idx
@@ -377,7 +346,7 @@ class LatrCoherence(TLBCoherence):
         """Write the ``cpu_bitmask`` of ``queue``'s slot ``idx``. A posted
         state under the inbox sweep may only lose cores: a target that
         already swept it cannot be asked to sweep it again."""
-        if not self._packed or not queue._flags_a[idx] & SOA_ACTIVE:
+        if not self.use_sweep_index or not queue._flags_a[idx] & SOA_ACTIVE:
             queue._mask_a[idx] = mask
             return
         live = self.live_mask(queue, idx)
@@ -399,11 +368,11 @@ class LatrCoherence(TLBCoherence):
             inbox.remove(gid)
 
     def clear_cpu(self, queue: SoaLatrQueue, idx: int, core_id: int, now: int) -> bool:
-        """:meth:`LatrState.clear_cpu` for ``queue``'s slot ``idx``."""
+        """:meth:`SoaLatrState.clear_cpu` for ``queue``'s slot ``idx``."""
         live = self.live_mask(queue, idx)
         if live >> core_id & 1:
             live ^= 1 << core_id
-            if self._packed and queue._flags_a[idx] & SOA_ACTIVE:
+            if self.use_sweep_index and queue._flags_a[idx] & SOA_ACTIVE:
                 self._unpost(queue, idx, core_id)
             else:
                 queue._mask_a[idx] = live
@@ -444,11 +413,10 @@ class LatrCoherence(TLBCoherence):
             self._stats.latency("shootdown.free").record(self.kernel.sim.now - start)
             return
 
-        bitmask = self._mask_of(target_ids) if self.use_soa_states else set(target_ids)
-        state = self._state_cls(
+        state = SoaLatrState(
             vrange=vrange,
             mm=mm,
-            cpu_bitmask=bitmask,
+            cpu_bitmask=self._mask_of(target_ids),
             flag=LatrFlag.FREE,
             owner_core=core.id,
             posted_at=self.kernel.sim.now,
@@ -499,18 +467,13 @@ class LatrCoherence(TLBCoherence):
         apply_pte_change: Callable[[], None],
     ) -> Generator:
         target_ids = self._target_set(core, mm)
-        if self.use_soa_states:
-            bitmask = self._mask_of(target_ids)
-            # The initiator participates too: its own TLB is invalidated at
-            # its next tick, after the first sweeper applied the PTE change
-            # (paper Figure 3b includes both cores in the bitmask).
-            if not core.lazy_tlb_mode:
-                bitmask |= 1 << core.id
-        else:
-            bitmask = set(target_ids)
-            if not core.lazy_tlb_mode:
-                bitmask.add(core.id)
-        state = self._state_cls(
+        bitmask = self._mask_of(target_ids)
+        # The initiator participates too: its own TLB is invalidated at its
+        # next tick, after the first sweeper applied the PTE change (paper
+        # Figure 3b includes both cores in the bitmask).
+        if not core.lazy_tlb_mode:
+            bitmask |= 1 << core.id
+        state = SoaLatrState(
             vrange=vrange,
             mm=mm,
             cpu_bitmask=bitmask,
@@ -599,20 +562,18 @@ class LatrCoherence(TLBCoherence):
         model is Table 5's 158 ns base (the states are contiguous and
         prefetched) plus per-active-entry examination, a cacheline pull the
         first time this core reads a state written on another socket, and
-        the local invalidation work for matching entries. The inbox,
-        object-model indexed and full implementations charge identical
-        costs; only the simulator's own wall-clock differs.
+        the local invalidation work for matching entries. The inbox sweep
+        and the full scan charge identical costs; only the simulator's own
+        wall-clock differs.
         """
-        if self._packed:
-            return self._sweep_inbox(core)
         if self.use_sweep_index:
-            return self._sweep_indexed(core)
+            return self._sweep_inbox(core)
         return self._sweep_full(core)
 
     def _sweep_inbox(self, core) -> int:
-        """The sweep over the packed queues: charges what
-        :meth:`_sweep_indexed` charges, from the active count, the
-        per-socket seq lists and this core's inbox (see the module doc)."""
+        """The indexed sweep: charges what :meth:`_sweep_full` charges,
+        from the active count, the per-socket seq lists and this core's
+        inbox (see the module doc)."""
         cost = self._sweep_base_ns + self.cold_sweep_extra_ns
         examined = self._active_state_count
         if examined == 0:
@@ -765,68 +726,13 @@ class LatrCoherence(TLBCoherence):
         slot_mask = self._slot_mask
         return sum(queues[gid >> bits]._npages_a[gid & slot_mask] for gid in inbox)
 
-    def _sweep_indexed(self, core) -> int:
-        cost = self._sweep_base_ns + self.cold_sweep_extra_ns
-        examined = self._active_state_count
-        if examined == 0:
-            # Empty-sweep fast path: the modelled sweep walked every slot
-            # and found nothing, which costs exactly the base; the simulator
-            # gets there in O(1). (_finish_sweep specialised for the
-            # nothing-matched case -- the majority of all sweeps.)
-            self._sweeps_counter.value += 1
-            self._sweep_latency.record(cost)
-            kernel = self.kernel
-            if kernel.invariant_monitor is not None:
-                kernel.invariant_monitor.notify("latr.sweep", core=core.id)
-            return cost
-
-        cost += examined * self._sweep_per_entry_ns
-        topo = self._topo
-        cursor = self._sweep_cursor.get(core.id, 0)
-        matching: List[LatrState] = []
-        total_pages = 0
-        # Only states posted after this core's previous sweep, visited in
-        # full-scan order (core id, then slot): older still-active states
-        # were already examined then -- their cross-socket pull is paid
-        # (pulled_by) and their bitmask can no longer contain this core.
-        # _pull_cost is inlined (bound methods cached at attach): this loop
-        # runs on every tick of every core.
-        core_id = core.id
-        core_hops = self._core_hops
-        states = self._active_states_sorted
-        if states is None:
-            queues = self.queues
-            states = [
-                state
-                for queue_id in sorted(self._active_queue_ids)
-                for state in queues[queue_id].active_states_after(-1)
-            ]
-            self._active_states_sorted = states
-        for state in states:
-            if state.seq <= cursor:
-                continue
-            hops = core_hops(core_id, state.owner_core)
-            if hops > 0 and core_id not in state.pulled_by:
-                state.pulled_by.add(core_id)
-                self._record_state_traffic(STATE_LINES)
-                cost += self._state_pull(hops)
-            if core_id not in state.cpu_bitmask:
-                continue
-            cost += self._apply_deferred_migration(state)
-            matching.append(state)
-            vrange = state.vrange
-            # vrange.n_pages, without the property call (hot loop).
-            total_pages += (vrange.end - vrange.start) >> PAGE_SHIFT
-        self._sweep_cursor[core.id] = self._last_posted_seq
-        return self._finish_sweep(core, matching, total_pages, cost, examined)
-
     def _sweep_full(self, core) -> int:
         """The original scan: every queue, every slot (pre-index baseline)."""
         lat = self._lat
         topo = self.kernel.machine.topology
         cost = lat.latr_sweep_base_ns + self.cold_sweep_extra_ns
         examined = 0
-        matching: List[LatrState] = []
+        matching: List[SoaLatrState] = []
         total_pages = 0
         for queue in self.queues.values():
             for state in queue.active_states():
@@ -840,7 +746,7 @@ class LatrCoherence(TLBCoherence):
                 total_pages += state.vrange.n_pages
         return self._finish_sweep(core, matching, total_pages, cost, examined)
 
-    def _pull_cost(self, core, state: LatrState, topo) -> int:
+    def _pull_cost(self, core, state: SoaLatrState, topo) -> int:
         """Cacheline pull the first time ``core`` reads a remote-socket state."""
         hops = topo.core_hops(core.id, state.owner_core)
         if hops > 0 and core.id not in state.pulled_by:
@@ -849,7 +755,7 @@ class LatrCoherence(TLBCoherence):
             return self._lat.latr_state_pull(hops)
         return 0
 
-    def _apply_deferred_migration(self, state: LatrState) -> int:
+    def _apply_deferred_migration(self, state: SoaLatrState) -> int:
         """First sweeper applies the deferred PTE change ("Clear PTE" in
         Figure 3b); returns the PTE-write cost."""
         if state.flag is LatrFlag.MIGRATION and not state.pte_applied:
@@ -861,7 +767,7 @@ class LatrCoherence(TLBCoherence):
     def _finish_sweep(
         self,
         core,
-        matching: List[LatrState],
+        matching: List[SoaLatrState],
         total_pages: int,
         cost: int,
         examined: int,
@@ -946,7 +852,7 @@ class LatrCoherence(TLBCoherence):
         tick = self.kernel.machine.spec.tick_interval_ns
         delay = self.reclaim_delay_ticks * tick
         now = self.kernel.sim.now
-        still_pending: List[LatrState] = []
+        still_pending: List[SoaLatrState] = []
         owner_costs: Dict[int, int] = {}
         for state in self._pending_reclaim:
             if state.active or now - state.posted_at < delay:
@@ -958,7 +864,7 @@ class LatrCoherence(TLBCoherence):
         for core_id, cost in owner_costs.items():
             self.kernel.machine.core(core_id).steal_time(cost)
 
-    def _reclaim_state(self, state: LatrState, owner_costs: Dict[int, int]) -> None:
+    def _reclaim_state(self, state: SoaLatrState, owner_costs: Dict[int, int]) -> None:
         lat = self._lat
         mm = state.mm
         mm.take_lazy_frames(state.pfns)

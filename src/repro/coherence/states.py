@@ -7,49 +7,39 @@ active flag. Cores sweep *all* cores' queues at every scheduler tick or
 context switch, invalidate what concerns them, clear their bitmask bit with
 an atomic, and the last core deactivates the entry.
 
+The queues use the paper's own layout: 64 packed 68-byte records per core,
+i.e. flat parallel arrays rather than one object per state. Hot per-slot
+fields live in parallel int lists / a flags bytearray on
+:class:`SoaLatrQueue` -- seq, the cpu mask as an int *bitmask*,
+active/pte_applied/reclaimed/migration as flag bits, base vpn / page count
+/ post timestamp, and the count of target cores still to sweep the state.
+A :class:`SoaLatrState` is a ``__slots__`` handle that routes reads and
+writes to its slot while posted (``cpu_bitmask`` and ``pulled_by`` are live
+set-like views over int masks) and keeps the values when the slot is
+recycled.
+
 To keep the simulator's sweep sub-linear (the paper's observation that the
 common sweep is the *empty* sweep), every queue maintains an
-:attr:`~LatrStateQueue.active_count` and reports post/deactivation events to
-an optional :attr:`~LatrStateQueue.index` (the owning
+:attr:`~SoaLatrQueue.active_count` and reports post/deactivation events to
+an optional :attr:`~SoaLatrQueue.index` (the owning
 :class:`~repro.coherence.latr.LatrCoherence`). Deactivation is caught at the
 ``active`` attribute itself -- it is a notifying property -- so every path
 that retires a state (``clear_cpu``, queue-full fallbacks, the deliberately
 broken fuzzer mutations) keeps the counts exact.
 
-Two queue representations share that contract:
-
-* :class:`LatrStateQueue` + :class:`LatrState` -- the original object model,
-  one dataclass per state with ``Set[int]`` bitmasks;
-* :class:`SoaLatrQueue` + :class:`SoaLatrState` -- a struct-of-arrays layout
-  (the paper's own: section 4.1 describes 64 packed 68-byte records per
-  core, i.e. flat parallel arrays, not objects). Hot per-slot fields live in
-  parallel int lists / a flags bytearray on the queue -- seq, the cpu mask
-  as an int *bitmask*, active/pte_applied/reclaimed/migration as flag bits,
-  base vpn / page count / post timestamp, and the count of target cores
-  still to sweep the state -- and the state object shrinks to a
-  ``__slots__`` handle that routes reads and writes to its slot while
-  posted. The handle exposes the complete ``LatrState`` API
-  (``cpu_bitmask`` and ``pulled_by`` are live set-like views over int
-  masks), so sweeps, mutations, snapshots, and the model checker's canonical
-  hash see identical observable state either way; ``use_soa_states=False``
-  on :class:`~repro.coherence.latr.LatrCoherence` is the escape hatch back
-  to the object model.
-
-While a packed state is posted under a coherence index, its
-``cpu_bitmask`` is answered by that index (``SoaLatrQueue.index``): the
-inbox sweep never clears bits one core at a time, and the coherence knows
-which targeted cores have already swept the state (see
-:meth:`~repro.coherence.latr.LatrCoherence.live_mask`). ``pulled_by`` is
-bookkeeping of the reference sweeps only; the inbox sweep accounts
-cross-socket pulls without it.
+While a state is posted under a coherence index, its ``cpu_bitmask`` is
+answered by that index: the inbox sweep never clears bits one core at a
+time, and the coherence knows which targeted cores have already swept the
+state (see :meth:`~repro.coherence.latr.LatrCoherence.live_mask`).
+``pulled_by`` is bookkeeping of the full-scan reference sweep only; the
+inbox sweep accounts cross-socket pulls without it.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Set
+from typing import Callable, Iterator, List, Optional
 
 from ..mm.addr import VirtRange
 from ..mm.mmstruct import MmStruct
@@ -69,176 +59,6 @@ class LatrFlag(enum.Enum):
     MIGRATION = "migration"
 
 
-@dataclass
-class LatrState:
-    """One 68-byte LATR state record."""
-
-    vrange: VirtRange
-    mm: MmStruct
-    cpu_bitmask: Set[int]
-    flag: LatrFlag
-    owner_core: int
-    posted_at: int
-    #: Fires when the bitmask empties (all cores invalidated); used to gate
-    #: migrations (paper 4.4) and by the reclamation daemon.
-    done: Signal
-    #: Frames pinned until reclamation (FREE states).
-    pfns: List[int] = field(default_factory=list)
-    #: Virtual range to return to the allocator at reclamation (munmap only;
-    #: madvise keeps the VMA so nothing to return).
-    vrange_to_free: Optional[VirtRange] = None
-    #: Deferred PTE change (MIGRATION states): run by the first sweeper.
-    apply_pte_change: Optional[Callable[[], None]] = None
-    pte_applied: bool = False
-    #: Cores that already pulled this state's cachelines cross-socket
-    #: (timing bookkeeping for the sweep cost model).
-    pulled_by: Set[int] = field(default_factory=set)
-    active: bool = True
-    completed_at: Optional[int] = None
-    reclaimed: bool = False
-    seq: int = field(default_factory=lambda: next(_state_seq))
-    #: Ring slot this state occupies in its queue (set by ``post``); lets
-    #: the sweep index reproduce slot order without scanning every slot.
-    slot_idx: int = -1
-    #: The queue this state was posted to (None until posted). Deactivation
-    #: notifies it so active counts and the sweep index never drift.
-    queue: Optional["LatrStateQueue"] = None
-
-    def clear_cpu(self, core_id: int, now: int) -> bool:
-        """Remove ``core_id`` from the bitmask; returns True when this was
-        the last core (the state deactivates, paper Figure 5 step 3)."""
-        self.cpu_bitmask.discard(core_id)
-        if not self.cpu_bitmask and self.active:
-            # Set the completion time before flipping ``active``: the
-            # deactivation notification (and the done callbacks) may read it.
-            self.completed_at = now
-            self.active = False
-            self.done.succeed(self)
-            return True
-        return False
-
-
-def _active_get(self: LatrState) -> bool:
-    return self.__dict__.get("_active_value", True)
-
-
-def _active_set(self: LatrState, value: bool) -> None:
-    prev = self.__dict__.get("_active_value")
-    self.__dict__["_active_value"] = bool(value)
-    if prev and not value:
-        queue = getattr(self, "queue", None)
-        if queue is not None:
-            queue.note_deactivated(self)
-
-
-# ``active`` is a notifying property so that *every* deactivation path --
-# clear_cpu, the queue-full fallbacks that assign ``state.active = False``
-# directly, and the fuzzer's broken-LATR mutations -- decrements the queue
-# and index counts exactly once. States never reactivate (the flag is
-# monotone), which is what makes the sweep cursor in LatrCoherence sound.
-LatrState.active = property(_active_get, _active_set)  # type: ignore[assignment]
-
-
-def _slot_key(state: LatrState) -> int:
-    return state.slot_idx
-
-
-class LatrStateQueue:
-    """A per-core cyclic queue of LATR states.
-
-    'Lock-free' in the paper means entries are claimed and cleared with
-    atomics; in the simulator the discrete-event loop serializes accesses,
-    so the queue is a plain ring with an explicit full condition: the slot
-    at the write cursor still being active means the queue is full and the
-    poster must fall back to IPIs (paper sections 4.2, 8).
-    """
-
-    def __init__(self, core_id: int, depth: int = DEFAULT_QUEUE_DEPTH):
-        if depth < 1:
-            raise ValueError("queue depth must be positive")
-        self.core_id = core_id
-        self.depth = depth
-        self._slots: List[Optional[LatrState]] = [None] * depth
-        self._cursor = 0
-        self.posts = 0
-        self.full_rejections = 0
-        #: Number of currently-active states in this queue; sweeps skip the
-        #: queue entirely when it is zero.
-        self.active_count = 0
-        #: The active posted states keyed by seq (kept exact by the same
-        #: post/deactivation notifications as ``active_count``); at most one
-        #: active state per slot, so slot order is recoverable by sorting.
-        self._active_map: dict = {}
-        #: Optional owner implementing ``note_posted(queue, state)`` /
-        #: ``note_deactivated(queue, state)`` (the LatrCoherence sweep index).
-        self.index = None
-
-    def post(self, state: LatrState) -> bool:
-        """Install a state; False when the queue is full (caller falls back).
-
-        A slot is reusable once its state is inactive *and* reclaimed (for
-        FREE states the record must survive until the reclamation daemon has
-        freed the pages it references).
-        """
-        slot = self._slots[self._cursor]
-        if slot is not None and (slot.active or not slot.reclaimed):
-            self.full_rejections += 1
-            return False
-        self._slots[self._cursor] = state
-        state.slot_idx = self._cursor
-        self._cursor = (self._cursor + 1) % self.depth
-        self.posts += 1
-        state.queue = self
-        if state.active:
-            self.active_count += 1
-            self._active_map[state.seq] = state
-            if self.index is not None:
-                self.index.note_posted(self, state)
-        return True
-
-    def note_deactivated(self, state: LatrState) -> None:
-        """A posted state flipped active -> inactive (called by the
-        ``LatrState.active`` setter exactly once per state)."""
-        if self.active_count > 0:
-            self.active_count -= 1
-        self._active_map.pop(state.seq, None)
-        if self.index is not None:
-            self.index.note_deactivated(self, state)
-
-    def active_states(self) -> Iterator[LatrState]:
-        # Reads the backing __dict__ slot directly: the ``active`` property
-        # costs a descriptor call per state, and sweeps run every tick.
-        for state in self._slots:
-            if state is not None and state.__dict__.get("_active_value", True):
-                yield state
-
-    def active_states_after(self, seq: int) -> List[LatrState]:
-        """Active states with a posting sequence newer than ``seq``, in slot
-        order (the same order the full scan visits them). O(active), not
-        O(depth): the candidates come from the active map and are put back
-        into slot order by their recorded slot index (at most one active
-        state per slot, so the ordering is total)."""
-        states = [s for s in self._active_map.values() if s.seq > seq]
-        if len(states) > 1:
-            states.sort(key=_slot_key)
-        return states
-
-    def all_states(self) -> Iterator[LatrState]:
-        for state in self._slots:
-            if state is not None:
-                yield state
-
-    def occupancy(self) -> int:
-        return sum(
-            1
-            for s in self._slots
-            if s is not None and (s.active or not s.reclaimed)
-        )
-
-    def footprint_bytes(self) -> int:
-        return self.depth * STATE_BYTES
-
-
 # ---------------------------------------------------------------------------
 # Struct-of-arrays representation
 # ---------------------------------------------------------------------------
@@ -256,8 +76,7 @@ class _MaskView:
 
     Reads and writes go through the state so the cpu mask resolves through
     the queue while the state occupies a slot. Iteration yields ascending core
-    ids -- the order ``sorted(set)`` would give -- so canonicalization and
-    snapshots see exactly what the object model produces.
+    ids -- the order ``sorted(set)`` would give.
     """
 
     __slots__ = ("_state", "_kind")
@@ -332,8 +151,17 @@ class SoaLatrState:
     fields (the cpu mask, the active/pte_applied/reclaimed/migration flag
     bits) live in the queue's parallel arrays while the state occupies its
     ring slot and are frozen back onto the handle when the slot is
-    recycled. API-compatible with :class:`LatrState`, including the
-    notifying monotone ``active``.
+    recycled. ``active`` is a notifying, monotone property: states never
+    reactivate, which is what makes the sweep cursors in LatrCoherence
+    sound.
+
+    ``done`` fires when the bitmask empties (all cores invalidated); it
+    gates migrations (paper 4.4) and the reclamation daemon. ``pfns`` are
+    the frames pinned until reclamation (FREE states); ``vrange_to_free``
+    is the virtual range returned to the allocator then (munmap only:
+    madvise keeps the VMA). ``apply_pte_change`` is a MIGRATION state's
+    deferred PTE change, run by the first sweeper. ``pulled_by`` names the
+    cores that already pulled the record's cachelines cross-socket.
     """
 
     __slots__ = (
@@ -445,7 +273,7 @@ class SoaLatrState:
         self._flags = queue._flags_a[idx]
         self._attached = False
 
-    # ---- LatrState-compatible surface ----------------------------------------
+    # ---- the state's fields ----------------------------------------------------
 
     @property
     def cpu_bitmask(self) -> _MaskView:
@@ -503,7 +331,8 @@ class SoaLatrState:
             self._flags_put(flags & ~SOA_RECLAIMED)
 
     def clear_cpu(self, core_id: int, now: int) -> bool:
-        """Semantics of :meth:`LatrState.clear_cpu` on the packed masks."""
+        """Remove ``core_id`` from the bitmask; returns True when this was
+        the last core (the state deactivates, paper Figure 5 step 3)."""
         if self._attached:
             queue = self.queue
             idx = self.slot_idx
@@ -530,15 +359,21 @@ class SoaLatrState:
 class SoaLatrQueue:
     """Struct-of-arrays per-core cyclic LATR queue.
 
-    Same ring/full/notification contract as :class:`LatrStateQueue`, but the
-    per-slot hot fields are parallel arrays indexed by slot: ``_seq_a``
-    (posting sequence, 0 = never used), ``_mask_a`` (int core bitmask),
-    ``_flags_a`` (a bytearray of SOA_* bits), ``_vpn_a``/``_npages_a`` (the
-    virtual range), ``_posted_a`` (post timestamps) and ``_remaining_a``
-    (target cores that still have to sweep the state; maintained by the
-    coherence index's inbox sweep, 0 otherwise). ``_slots`` keeps the state
-    handles so existing observers (snapshots, the model checker, mutations)
-    walk the queue exactly as before. ``index`` (when set) owns the cpu
+    'Lock-free' in the paper means entries are claimed and cleared with
+    atomics; in the simulator the discrete-event loop serializes accesses,
+    so the queue is a plain ring with an explicit full condition: the slot
+    at the write cursor still being active (or not yet reclaimed) means the
+    queue is full and the poster must fall back to IPIs (paper sections
+    4.2, 8).
+
+    The per-slot hot fields are parallel arrays indexed by slot:
+    ``_seq_a`` (posting sequence, 0 = never used), ``_mask_a`` (int core
+    bitmask), ``_flags_a`` (a bytearray of SOA_* bits),
+    ``_vpn_a``/``_npages_a`` (the virtual range), ``_posted_a`` (post
+    timestamps) and ``_remaining_a`` (target cores that still have to sweep
+    the state; maintained by the coherence index's inbox sweep, 0
+    otherwise). ``_slots`` keeps the state handles for the observers
+    (snapshots, the model checker, mutations). ``index`` (when set) owns the cpu
     mask of an attached state: reads, writes and ``clear_cpu`` go through
     its ``live_mask`` / ``set_live_mask`` / ``clear_cpu``.
     """
@@ -564,8 +399,12 @@ class SoaLatrQueue:
         self.index = None
 
     def post(self, state: SoaLatrState) -> bool:
-        """Install a state; False when the queue is full (same reusability
-        rule as the object model: inactive *and* reclaimed)."""
+        """Install a state; False when the queue is full.
+
+        A slot is reusable once its state is inactive *and* reclaimed (for
+        FREE states the record must survive until the reclamation daemon has
+        freed the pages it references).
+        """
         idx = self._cursor
         flags_a = self._flags_a
         old = self._slots[idx]
@@ -607,12 +446,6 @@ class SoaLatrQueue:
         for idx, state in enumerate(self._slots):
             if state is not None and flags_a[idx] & SOA_ACTIVE:
                 yield state
-
-    def active_states_after(self, seq: int) -> List[SoaLatrState]:
-        states = [s for s in self._active_map.values() if s.seq > seq]
-        if len(states) > 1:
-            states.sort(key=_slot_key)
-        return states
 
     def all_states(self) -> Iterator[SoaLatrState]:
         for state in self._slots:

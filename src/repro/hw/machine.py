@@ -27,7 +27,6 @@ class Machine:
         pcid_enabled: bool = False,
         use_tlb_index: Optional[bool] = None,
         gate_latencies: Optional[bool] = None,
-        use_packed_tlb: Optional[bool] = None,
     ):
         self.sim = sim
         self.spec = spec
@@ -47,7 +46,6 @@ class Machine:
                     spec.l1_dtlb_entries,
                     pcid_enabled=pcid_enabled,
                     use_index=use_tlb_index,
-                    use_packed=use_packed_tlb,
                 ),
                 lazy_cores=self.lazy_cores,
             )

@@ -19,42 +19,34 @@ pcid owns, so range shootdowns never scan the other processes' entries.
 the differential tests prove both paths drop the same entries and report
 the same stats.
 
-Packed slots (``use_packed``, the default)
-------------------------------------------
+Packed slots
+------------
 
 The hit path runs once per simulated memory access, so its representation
-dominates the simulator's wall-clock at fleet scale. In packed mode keys
-are single ints (``pcid << KEY_PCID_SHIFT | vpn`` -- no tuple allocation
-per lookup) and entries are int-encoded slots (writable bit 0, then
-generation, mm id and pfn bit fields -- no ``TlbEntry`` dataclass per
-fill), stored in a plain insertion-ordered dict whose LRU refresh is a
-delete + reinsert. ``fill``/``lookup``/``invalidate_range`` are then
-allocation-free on the hit path (``fill_new`` skips even the legacy-mode
-entry object at the two hot fill sites). Every inspection surface --
-``peek``, ``items()``, ``canonical_rows()``, ``frame_refs()`` -- reads back
-:class:`TlbEntry`/bool/int field values, so invariant checkers, snapshots
-and the model checker's canonical hash observe byte-identical state either
-way (``canonical_rows`` and ``frame_refs`` read the packed ints in place;
-this module is the only one that knows the slot layout);
-``use_packed=False`` (``use_packed_tlb`` on :class:`~repro.hw.machine.Machine`)
-is the escape hatch back to the object representation.
+dominates the simulator's wall-clock at fleet scale. Keys are single ints
+(``pcid << KEY_PCID_SHIFT | vpn`` -- no tuple allocation per lookup) and
+entries are int-encoded slots (writable bit 0, then generation, mm id and
+pfn bit fields -- no ``TlbEntry`` dataclass per fill), stored in a plain
+insertion-ordered dict whose LRU refresh is a delete + reinsert.
+``fill_new``/``lookup``/``invalidate_range`` are then allocation-free on
+the hit path. Every inspection surface -- ``peek``, ``items()``,
+``canonical_rows()``, ``frame_refs()`` -- reads back :class:`TlbEntry`/
+bool/int field values (``canonical_rows`` and ``frame_refs`` read the
+packed ints in place), so this module is the only one that knows the slot
+layout.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: PCID used for every process when PCID support is off.
 NO_PCID = 0
 
 #: Default for ``Tlb(use_index=...)`` when left unspecified.
 DEFAULT_USE_TLB_INDEX = True
-
-#: Default for ``Tlb(use_packed=...)`` when left unspecified.
-DEFAULT_USE_PACKED_TLB = True
 
 #: Process-global version numbers for TLB change tracking. Values are
 #: never reused, so equal versions imply identical state: a version is
@@ -97,12 +89,6 @@ ENTRY_MM_SHIFT = 33
 ENTRY_MM_MASK = (1 << 20) - 1
 ENTRY_PFN_SHIFT = 53
 
-#: A resident translation as handed out by ``lookup``: a TlbEntry in the
-#: legacy representation, an int-encoded slot in packed mode. Hot callers
-#: use the ``entry_*`` accessors below, which dispatch on the type.
-TlbSlot = Union[TlbEntry, int]
-
-
 def encode_entry(pfn: int, writable: bool, generation: int, mm_id: int) -> int:
     """Pack translation fields into one int slot."""
     return (
@@ -123,18 +109,14 @@ def decode_entry(slot: int) -> TlbEntry:
     )
 
 
-def entry_pfn(entry: TlbSlot) -> int:
-    return entry >> ENTRY_PFN_SHIFT if type(entry) is int else entry.pfn
+def entry_pfn(slot: int) -> int:
+    """The pfn field of a slot handed out by :meth:`Tlb.lookup`."""
+    return slot >> ENTRY_PFN_SHIFT
 
 
-def entry_writable(entry: TlbSlot) -> bool:
-    return entry & 1 != 0 if type(entry) is int else entry.writable
-
-
-def entry_generation(entry: TlbSlot) -> int:
-    if type(entry) is int:
-        return (entry >> ENTRY_GEN_SHIFT) & ENTRY_GEN_MASK
-    return entry.generation
+def entry_writable(slot: int) -> bool:
+    """The writable bit of a slot handed out by :meth:`Tlb.lookup`."""
+    return slot & 1 != 0
 
 
 class Tlb:
@@ -146,7 +128,6 @@ class Tlb:
         pcid_enabled: bool = False,
         huge_capacity: int = 32,
         use_index: Optional[bool] = None,
-        use_packed: Optional[bool] = None,
     ):
         if capacity < 1:
             raise ValueError("TLB capacity must be positive")
@@ -154,17 +135,11 @@ class Tlb:
         self.huge_capacity = huge_capacity
         self.pcid_enabled = pcid_enabled
         self.use_index = DEFAULT_USE_TLB_INDEX if use_index is None else bool(use_index)
-        self.packed = DEFAULT_USE_PACKED_TLB if use_packed is None else bool(use_packed)
-        if self.packed:
-            # Plain dicts are insertion-ordered; LRU refresh is del+reinsert
-            # and the LRU victim is next(iter(...)) -- same order semantics
-            # as OrderedDict.move_to_end/popitem(last=False), less overhead.
-            self._entries: dict = {}
-            self._huge_entries: dict = {}
-        else:
-            self._entries = OrderedDict()
-            #: 2 MiB entries keyed by (pcid, base_vpn).
-            self._huge_entries = OrderedDict()
+        # Plain dicts are insertion-ordered: LRU refresh is del+reinsert and
+        # the LRU victim is next(iter(...)).
+        self._entries: Dict[int, int] = {}
+        #: 2 MiB entries keyed by (pcid, base_vpn), packed the same way.
+        self._huge_entries: Dict[int, int] = {}
         #: Secondary index: effective pcid -> vpns resident in _entries.
         self._index: Dict[int, Set[int]] = {}
         #: Same for the huge array (base vpns).
@@ -184,34 +159,28 @@ class Tlb:
     def __len__(self) -> int:
         return len(self._entries) + len(self._huge_entries)
 
-    def _key(self, pcid: int, vpn: int):
+    def _key(self, pcid: int, vpn: int) -> int:
         eff = pcid if self.pcid_enabled else NO_PCID
-        if self.packed:
-            return (eff << KEY_PCID_SHIFT) | vpn
-        return (eff, vpn)
+        return (eff << KEY_PCID_SHIFT) | vpn
 
-    def _huge_key(self, pcid: int, vpn: int):
+    def _huge_key(self, pcid: int, vpn: int) -> int:
         eff = pcid if self.pcid_enabled else NO_PCID
-        base = vpn - vpn % HUGE_SPAN
-        if self.packed:
-            return (eff << KEY_PCID_SHIFT) | base
-        return (eff, base)
+        return (eff << KEY_PCID_SHIFT) | (vpn - vpn % HUGE_SPAN)
 
-    def _split_key(self, key) -> Tuple[int, int]:
-        if self.packed:
-            return key >> KEY_PCID_SHIFT, key & KEY_VPN_MASK
-        return key
+    @staticmethod
+    def _split_key(key: int) -> Tuple[int, int]:
+        return key >> KEY_PCID_SHIFT, key & KEY_VPN_MASK
 
     # ---- index maintenance -----------------------------------------------------
 
-    def _index_add(self, index: Dict[int, Set[int]], key) -> None:
+    def _index_add(self, index: Dict[int, Set[int]], key: int) -> None:
         pcid, vpn = self._split_key(key)
         vpns = index.get(pcid)
         if vpns is None:
             vpns = index[pcid] = set()
         vpns.add(vpn)
 
-    def _index_drop(self, index: Dict[int, Set[int]], key) -> None:
+    def _index_drop(self, index: Dict[int, Set[int]], key: int) -> None:
         pcid, vpn = self._split_key(key)
         vpns = index.get(pcid)
         if vpns is not None:
@@ -221,78 +190,48 @@ class Tlb:
 
     # ---- lookups and fills -----------------------------------------------------
 
-    def lookup(self, pcid: int, vpn: int) -> Optional[TlbSlot]:
+    def lookup(self, pcid: int, vpn: int) -> Optional[int]:
         """Translate; counts a hit or miss and refreshes LRU position.
 
-        Returns the resident slot in its native representation (TlbEntry or
-        packed int) -- read it through ``entry_pfn``/``entry_writable``."""
+        Returns the resident packed slot -- read it through
+        ``entry_pfn``/``entry_writable``."""
         self._state_version = next(_VERSIONS)
-        if self.packed:
-            eff = pcid if self.pcid_enabled else NO_PCID
-            key = (eff << KEY_PCID_SHIFT) | vpn
-            entries = self._entries
-            slot = entries.get(key)
-            if slot is not None:
-                del entries[key]
-                entries[key] = slot
-                self.hits += 1
-                return slot
-            hkey = (eff << KEY_PCID_SHIFT) | (vpn - vpn % HUGE_SPAN)
-            huge = self._huge_entries
-            slot = huge.get(hkey)
-            if slot is not None:
-                del huge[hkey]
-                huge[hkey] = slot
-                self.hits += 1
-                return slot
-            self.misses += 1
-            return None
-        key = self._key(pcid, vpn)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
+        eff = pcid if self.pcid_enabled else NO_PCID
+        key = (eff << KEY_PCID_SHIFT) | vpn
+        entries = self._entries
+        slot = entries.get(key)
+        if slot is not None:
+            del entries[key]
+            entries[key] = slot
             self.hits += 1
-            return entry
-        hkey = self._huge_key(pcid, vpn)
-        entry = self._huge_entries.get(hkey)
-        if entry is not None:
-            self._huge_entries.move_to_end(hkey)
+            return slot
+        hkey = (eff << KEY_PCID_SHIFT) | (vpn - vpn % HUGE_SPAN)
+        huge = self._huge_entries
+        slot = huge.get(hkey)
+        if slot is not None:
+            del huge[hkey]
+            huge[hkey] = slot
             self.hits += 1
-            return entry
+            return slot
         self.misses += 1
         return None
 
     def peek(self, pcid: int, vpn: int) -> Optional[TlbEntry]:
-        """Inspect without touching counters or LRU (for invariant checks).
-        Always returns decoded ``TlbEntry`` form, in both representations."""
-        entry = self._entries.get(self._key(pcid, vpn))
-        if entry is None:
-            entry = self._huge_entries.get(self._huge_key(pcid, vpn))
-        if entry is None:
+        """Inspect without touching counters or LRU (for invariant checks);
+        returns the decoded ``TlbEntry``."""
+        slot = self._entries.get(self._key(pcid, vpn))
+        if slot is None:
+            slot = self._huge_entries.get(self._huge_key(pcid, vpn))
+        if slot is None:
             return None
-        return decode_entry(entry) if self.packed else entry
+        return decode_entry(slot)
 
     def fill(self, pcid: int, vpn: int, entry: TlbEntry) -> None:
         """Install a 4 KiB translation, evicting LRU on overflow."""
-        if self.packed:
-            self.fill_new(
-                pcid, vpn, entry.pfn, entry.writable, entry.generation,
-                entry.debug_mm_id,
-            )
-            return
-        self._state_version = next(_VERSIONS)
-        self._entries_version = next(_VERSIONS)
-        key = self._key(pcid, vpn)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = entry
-        if self.use_index:
-            self._index_add(self._index, key)
-        while len(self._entries) > self.capacity:
-            evicted, _ = self._entries.popitem(last=False)
-            if self.use_index:
-                self._index_drop(self._index, evicted)
-            self.evictions += 1
+        self.fill_new(
+            pcid, vpn, entry.pfn, entry.writable, entry.generation,
+            entry.debug_mm_id,
+        )
 
     def fill_new(
         self,
@@ -305,28 +244,10 @@ class Tlb:
     ) -> None:
         """Install a fresh 4 KiB translation from raw fields.
 
-        The hot-path form of :meth:`fill`: packed mode encodes the slot
-        directly (no TlbEntry allocated), legacy mode builds the entry
-        object exactly as callers used to."""
+        The hot-path form of :meth:`fill`: the slot is encoded directly,
+        with no TlbEntry allocated."""
         self._state_version = next(_VERSIONS)
         self._entries_version = next(_VERSIONS)
-        if not self.packed:
-            key = self._key(pcid, vpn)
-            entries = self._entries
-            if key in entries:
-                entries.move_to_end(key)
-            entries[key] = TlbEntry(
-                pfn=pfn, writable=writable, generation=generation,
-                debug_mm_id=mm_id,
-            )
-            if self.use_index:
-                self._index_add(self._index, key)
-            while len(entries) > self.capacity:
-                evicted, _ = entries.popitem(last=False)
-                if self.use_index:
-                    self._index_drop(self._index, evicted)
-                self.evictions += 1
-            return
         eff = pcid if self.pcid_enabled else NO_PCID
         key = (eff << KEY_PCID_SHIFT) | vpn
         slot = (
@@ -360,25 +281,16 @@ class Tlb:
             raise ValueError(f"huge fill not aligned: vpn {base_vpn:#x}")
         key = self._key(pcid, base_vpn)
         huge = self._huge_entries
-        if self.packed:
-            slot = encode_entry(
-                entry.pfn, entry.writable, entry.generation, entry.debug_mm_id
-            )
-            if key in huge:
-                del huge[key]
-            huge[key] = slot
-        else:
-            if key in huge:
-                huge.move_to_end(key)
-            huge[key] = entry
+        if key in huge:
+            del huge[key]
+        huge[key] = encode_entry(
+            entry.pfn, entry.writable, entry.generation, entry.debug_mm_id
+        )
         if self.use_index:
             self._index_add(self._huge_index, key)
         while len(huge) > self.huge_capacity:
-            if self.packed:
-                evicted = next(iter(huge))
-                del huge[evicted]
-            else:
-                evicted, _ = huge.popitem(last=False)
+            evicted = next(iter(huge))
+            del huge[evicted]
             if self.use_index:
                 self._index_drop(self._huge_index, evicted)
             self.evictions += 1
@@ -418,7 +330,6 @@ class Tlb:
             dropped = self._invalidate_range_scan(eff_pcid, vpn_start, vpn_end)
             self.invalidations += dropped
             return dropped
-        packed = self.packed
         key_base = eff_pcid << KEY_PCID_SHIFT
         dropped = 0
         vpns = self._index.get(eff_pcid)
@@ -428,14 +339,9 @@ class Tlb:
             else:
                 victims = [v for v in vpns if vpn_start <= v < vpn_end]
             entries = self._entries
-            if packed:
-                for vpn in victims:
-                    del entries[key_base | vpn]
-                    vpns.discard(vpn)
-            else:
-                for vpn in victims:
-                    del entries[(eff_pcid, vpn)]
-                    vpns.discard(vpn)
+            for vpn in victims:
+                del entries[key_base | vpn]
+                vpns.discard(vpn)
             if not vpns:
                 del self._index[eff_pcid]
             dropped += len(victims)
@@ -445,14 +351,9 @@ class Tlb:
                 v for v in huge_vpns if v < vpn_end and v + HUGE_SPAN > vpn_start
             ]
             huge_entries = self._huge_entries
-            if packed:
-                for vpn in huge_victims:
-                    del huge_entries[key_base | vpn]
-                    huge_vpns.discard(vpn)
-            else:
-                for vpn in huge_victims:
-                    del huge_entries[(eff_pcid, vpn)]
-                    huge_vpns.discard(vpn)
+            for vpn in huge_victims:
+                del huge_entries[key_base | vpn]
+                huge_vpns.discard(vpn)
             if not huge_vpns:
                 del self._huge_index[eff_pcid]
             dropped += len(huge_victims)
@@ -504,10 +405,10 @@ class Tlb:
         if self.use_index:
             vpns = self._index.pop(pcid, ())
             for vpn in vpns:
-                del self._entries[key_base | vpn if self.packed else (pcid, vpn)]
+                del self._entries[key_base | vpn]
             huge_vpns = self._huge_index.pop(pcid, ())
             for vpn in huge_vpns:
-                del self._huge_entries[key_base | vpn if self.packed else (pcid, vpn)]
+                del self._huge_entries[key_base | vpn]
             return len(vpns) + len(huge_vpns)
         split = self._split_key
         victims = [key for key in self._entries if split(key)[0] == pcid]
@@ -522,81 +423,45 @@ class Tlb:
 
     def items(self) -> Iterable[Tuple[Tuple[int, int], TlbEntry]]:
         """All 4 KiB ((pcid, vpn), entry) pairs; for invariant checkers.
-        Decoded to tuple keys and TlbEntry values in both representations,
-        in residence (LRU) order."""
-        if self.packed:
-            return [
-                (self._split_key(key), decode_entry(slot))
-                for key, slot in self._entries.items()
-            ]
-        return list(self._entries.items())
+        Decoded to tuple keys and TlbEntry values, in residence (LRU)
+        order."""
+        return [
+            (self._split_key(key), decode_entry(slot))
+            for key, slot in self._entries.items()
+        ]
 
     def huge_items(self) -> Iterable[Tuple[Tuple[int, int], TlbEntry]]:
         """All 2 MiB ((pcid, base_vpn), entry) pairs."""
-        if self.packed:
-            return [
-                (self._split_key(key), decode_entry(slot))
-                for key, slot in self._huge_entries.items()
-            ]
-        return list(self._huge_entries.items())
+        return [
+            (self._split_key(key), decode_entry(slot))
+            for key, slot in self._huge_entries.items()
+        ]
 
     def frame_refs(self) -> List[Tuple[int, int]]:
         """(pfn, generation) of every resident entry, the 4 KiB array then
         the huge one, in residence order -- what the frame-safety invariant
-        checks at every monitor notification. Packed slots are read in
-        place, without decoding a TlbEntry per slot."""
-        if self.packed:
-            refs = [
+        checks at every monitor notification. The slots are read in place,
+        without decoding a TlbEntry per slot."""
+        refs = [
+            (slot >> ENTRY_PFN_SHIFT, (slot >> ENTRY_GEN_SHIFT) & ENTRY_GEN_MASK)
+            for slot in self._entries.values()
+        ]
+        if self._huge_entries:
+            refs += [
                 (slot >> ENTRY_PFN_SHIFT, (slot >> ENTRY_GEN_SHIFT) & ENTRY_GEN_MASK)
-                for slot in self._entries.values()
+                for slot in self._huge_entries.values()
             ]
-            if self._huge_entries:
-                refs += [
-                    (slot >> ENTRY_PFN_SHIFT, (slot >> ENTRY_GEN_SHIFT) & ENTRY_GEN_MASK)
-                    for slot in self._huge_entries.values()
-                ]
-            return refs
-        refs = [(entry.pfn, entry.generation) for entry in self._entries.values()]
-        refs += [(entry.pfn, entry.generation) for entry in self._huge_entries.values()]
         return refs
 
     def canonical_rows(self) -> List[Tuple[int, int, int, bool, int]]:
         """Sorted (pcid, vpn, pfn, writable, generation) rows of the 4 KiB
-        array -- the representation-independent form the model checker
-        hashes. Byte-identical between packed and legacy modes."""
-        if self.packed:
-            return sorted(
-                (
-                    key >> KEY_PCID_SHIFT,
-                    key & KEY_VPN_MASK,
-                    slot >> ENTRY_PFN_SHIFT,
-                    bool(slot & 1),
-                    (slot >> ENTRY_GEN_SHIFT) & ENTRY_GEN_MASK,
-                )
-                for key, slot in self._entries.items()
-            )
-        return sorted(
-            (pcid, vpn, e.pfn, e.writable, e.generation)
-            for (pcid, vpn), e in self._entries.items()
-        )
+        array -- the form the model checker hashes (LRU order and the debug
+        mm id left out)."""
+        return _canonical(self._entries)
 
     def canonical_huge_rows(self) -> List[Tuple[int, int, int, bool, int]]:
         """Huge-array twin of :meth:`canonical_rows`."""
-        if self.packed:
-            return sorted(
-                (
-                    key >> KEY_PCID_SHIFT,
-                    key & KEY_VPN_MASK,
-                    slot >> ENTRY_PFN_SHIFT,
-                    bool(slot & 1),
-                    (slot >> ENTRY_GEN_SHIFT) & ENTRY_GEN_MASK,
-                )
-                for key, slot in self._huge_entries.items()
-            )
-        return sorted(
-            (pcid, vpn, e.pfn, e.writable, e.generation)
-            for (pcid, vpn), e in self._huge_entries.items()
-        )
+        return _canonical(self._huge_entries)
 
     def cached_vpns(self, pcid: int) -> Iterable[int]:
         eff_pcid = pcid if self.pcid_enabled else NO_PCID
@@ -615,3 +480,16 @@ class Tlb:
             "evictions": self.evictions,
             "resident": len(self._entries),
         }
+
+
+def _canonical(entries: Dict[int, int]) -> List[Tuple[int, int, int, bool, int]]:
+    return sorted(
+        (
+            key >> KEY_PCID_SHIFT,
+            key & KEY_VPN_MASK,
+            slot >> ENTRY_PFN_SHIFT,
+            bool(slot & 1),
+            (slot >> ENTRY_GEN_SHIFT) & ENTRY_GEN_MASK,
+        )
+        for key, slot in entries.items()
+    )

@@ -38,7 +38,6 @@ class Kernel:
         seed: int = 1,
         use_batched_faults: Optional[bool] = None,
         use_pt_replication: Optional[bool] = None,
-        use_frame_slabs: Optional[bool] = None,
         use_virtualization: Optional[bool] = None,
     ):
         self.machine = machine
@@ -77,9 +76,7 @@ class Kernel:
         #: 4-level unless a hugepage short-circuits a level).
         self._twod_extra = machine.latency.twod_walk_extra(LEVELS, LEVELS)
         self._twod_extra_huge = machine.latency.twod_walk_extra(LEVELS - 1, LEVELS)
-        self.frames = FrameAllocator(
-            machine.spec.sockets, frames_per_node, use_slabs=use_frame_slabs
-        )
+        self.frames = FrameAllocator(machine.spec.sockets, frames_per_node)
         self.page_cache = PageCache(self.frames)
         if self.use_virtualization:
             # An eviction that actually frees a cached frame must drop its
@@ -159,27 +156,16 @@ class Kernel:
 
     def release_frames(self, pfns: Iterable[int]) -> None:
         """Drop the mapping reference of each frame (frees at refcount 0)."""
-        if self.frames.use_slabs:
-            freed_pfns = self.frames.free_batch(pfns)
-            any_freed = bool(freed_pfns)
-            page_contents = self.page_contents
-            for pfn in freed_pfns:
-                page_contents.pop(pfn, None)
-        else:
-            any_freed = False
-            freed_pfns = []
-            for pfn in pfns:
-                freed = self.frames.put(pfn)
-                if freed:
-                    any_freed = True
-                    freed_pfns.append(pfn)
-                    self.page_contents.pop(pfn, None)
+        freed_pfns = self.frames.free_batch(pfns)
+        page_contents = self.page_contents
+        for pfn in freed_pfns:
+            page_contents.pop(pfn, None)
         if freed_pfns and self._ept_rmap:
             # Only once a frame actually frees (refcount 0) do its host
             # translations go stale: a CoW/shared drop keeps them valid.
             for pfn in freed_pfns:
                 self._ept_detach(pfn)
-        if any_freed and self.invariant_monitor is not None:
+        if freed_pfns and self.invariant_monitor is not None:
             # The instant a frame returns to the allocator is exactly when a
             # still-cached translation becomes a use-after-free window.
             self.invariant_monitor.notify("frame.free")

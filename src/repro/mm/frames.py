@@ -6,6 +6,11 @@ enforced here: frames carry refcounts and a monotonically increasing
 *generation* that bumps on every free. A TLB entry snapshots the generation
 at fill time, so invariant checkers can prove that no core ever translates
 through a recycled frame.
+
+Bulk releases (a munmap of a large VMA, a LATR reclaim) go through
+:meth:`FrameAllocator.free_batch`, which recycles the frames through
+per-node slabs; :meth:`FrameAllocator.put` is the one-frame form and the
+reference the batched path is tested against.
 """
 
 from __future__ import annotations
@@ -148,22 +153,15 @@ class _FreeList:
 #: (same contract as ``repro.hw.tlb._VERSIONS``).
 _VERSIONS = count(1)
 
-#: Default for ``FrameAllocator(use_slabs=...)`` when left unspecified.
-DEFAULT_USE_FRAME_SLABS = True
-
 
 class FrameAllocator:
     """Per-node free lists of physical frame numbers (PFNs)."""
 
-    def __init__(self, nodes: int, frames_per_node: int, use_slabs: Optional[bool] = None):
+    def __init__(self, nodes: int, frames_per_node: int):
         if nodes < 1 or frames_per_node < 1:
             raise ValueError("need at least one node and one frame")
         self.nodes = nodes
         self.frames_per_node = frames_per_node
-        #: Batched-free escape hatch: with slabs on, bulk releases go
-        #: through :meth:`free_batch` (one version mint, per-node slab
-        #: extends); off forces the one-``put``-per-frame legacy path.
-        self.use_slabs = DEFAULT_USE_FRAME_SLABS if use_slabs is None else bool(use_slabs)
         self._free: List[_FreeList] = [
             _FreeList(fresh=range(node * frames_per_node, (node + 1) * frames_per_node))
             for node in range(nodes)
@@ -298,11 +296,11 @@ class FrameAllocator:
         """Drop one reference per PFN, recycling zero-refcount frames
         through per-node slabs. Returns the PFNs actually freed, in order.
 
-        The slab path is the batched twin of calling :meth:`put` in a
-        loop: every refcount decrement, generation bump, free-list entry
-        and error is identical (per-node slab extends preserve each
-        node's append order exactly), but the version counter is minted
-        once per batch -- legal because version *values* are never
+        The batched twin of calling :meth:`put` in a loop: every refcount
+        decrement, generation bump, free-list entry and error is identical
+        (per-node slab extends preserve each node's append order exactly,
+        and a double free part-way through still recycles the frames freed
+        before it), but the version counter is minted once per batch -- legal because version *values* are never
         compared across runs, only for change detection -- and the dict
         and list lookups are hoisted out of the loop. A munmap of a large
         VMA releases thousands of frames in one call; at fleet scale this
@@ -314,24 +312,26 @@ class FrameAllocator:
         fpn = self.frames_per_node
         slabs: Dict[int, List[int]] = {}
         freed: List[int] = []
-        for pfn in pfns:
-            count = refcount.get(pfn)
-            if count is None:
-                raise FrameAllocatorError(f"put() on free frame {pfn} (double free?)")
-            if count == 1:
-                del refcount[pfn]
-                generation[pfn] = generation.get(pfn, 0) + 1
-                node = pfn // fpn
-                slab = slabs.get(node)
-                if slab is None:
-                    slab = slabs[node] = []
-                slab.append(pfn)
-                freed.append(pfn)
-            else:
-                refcount[pfn] = count - 1
-        for node, slab in slabs.items():
-            self._free[node].extend(slab)
-        self.total_frees += len(freed)
+        try:
+            for pfn in pfns:
+                count = refcount.get(pfn)
+                if count is None:
+                    raise FrameAllocatorError(f"put() on free frame {pfn} (double free?)")
+                if count == 1:
+                    del refcount[pfn]
+                    generation[pfn] = generation.get(pfn, 0) + 1
+                    node = pfn // fpn
+                    slab = slabs.get(node)
+                    if slab is None:
+                        slab = slabs[node] = []
+                    slab.append(pfn)
+                    freed.append(pfn)
+                else:
+                    refcount[pfn] = count - 1
+        finally:
+            for node, slab in slabs.items():
+                self._free[node].extend(slab)
+            self.total_frees += len(freed)
         return freed
 
     def refcount(self, pfn: int) -> int:

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import math
 from itertools import count
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .engine import SEC, Simulator
 
 #: Never-reused version mint shared by every LatencyRecorder and
-#: QuantileRecorder: a version number is issued for exactly one recorder
-#: state, and a restore only rewinds the version together with installing
-#: exactly that state, so equal versions imply identical state (the same
-#: contract as ``repro.hw.tlb._VERSIONS``). This is what lets ``restore``
-#: skip untouched recorders on the model checker's backtracking hot path.
+#: QuantileRecorder, and by the StatsRegistry key sets: a version number
+#: is issued for exactly one state, and a restore only rewinds the version
+#: together with installing exactly that state, so equal versions imply
+#: identical state (the same contract as ``repro.hw.tlb._VERSIONS``). This
+#: is what lets ``restore`` skip untouched recorders on the model checker's
+#: backtracking hot path.
 _VERSIONS = count(1)
 
 #: Recorder window states. A gated recorder accepts samples while FREE
@@ -453,6 +454,15 @@ class RateWindow:
         return self.events * (SEC / elapsed)
 
 
+def _rekey(live: Dict[str, object], names, make: Callable[[str], object]) -> None:
+    """Make ``live`` hold exactly ``names``, in that order: surviving
+    entries keep their identity, missing ones come from ``make(name)``."""
+    entries = [(name, live.get(name)) for name in names]
+    live.clear()
+    for name, entry in entries:
+        live[name] = make(name) if entry is None else entry
+
+
 class StatsRegistry:
     """Owns all counters/recorders for one simulated machine run.
 
@@ -473,10 +483,15 @@ class StatsRegistry:
         self._quantiles: Dict[str, QuantileRecorder] = {}
         self._rates: Dict[str, RateWindow] = {}
         self._windows_active = False
+        #: Names the four key sets *and their order*: minted whenever an
+        #: entry is created, rewound by ``restore`` together with the key
+        #: sets it names.
+        self._keys_version = next(_VERSIONS)
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
             self._counters[name] = Counter(name)
+            self._keys_version = next(_VERSIONS)
         return self._counters[name]
 
     def latency(self, name: str) -> LatencyRecorder:
@@ -484,6 +499,7 @@ class StatsRegistry:
             rec = self._latencies[name] = LatencyRecorder(
                 name, gated=self.gate_latencies
             )
+            self._keys_version = next(_VERSIONS)
             if self._windows_active:
                 # A measurement window is open: recorders created after
                 # warmup (first sample inside the window) join it directly.
@@ -495,6 +511,7 @@ class StatsRegistry:
             rec = self._quantiles[name] = QuantileRecorder(
                 name, gated=self.gate_latencies
             )
+            self._keys_version = next(_VERSIONS)
             if self._windows_active:
                 rec.start_window()
         return self._quantiles[name]
@@ -502,6 +519,7 @@ class StatsRegistry:
     def rate(self, name: str) -> RateWindow:
         if name not in self._rates:
             self._rates[name] = RateWindow(name, self.sim)
+            self._keys_version = next(_VERSIONS)
             if self._windows_active:
                 # A measurement window is open: new rates join it so that
                 # lazily-created rates (first hit after warmup) still count.
@@ -546,70 +564,41 @@ class StatsRegistry:
                 for name, r in self._rates.items()
             },
             "windows_active": self._windows_active,
+            "keys_version": self._keys_version,
         }
 
     def restore(self, snap: Dict[str, object]) -> None:
         """Restore to ``snap``, reusing surviving objects (callers cache
-        counter/recorder references at boot, so identity must be preserved)
-        and dropping entries created after the snapshot was taken."""
-        # Entries are only ever created (never removed outside restore) and a
-        # snapshot always restores into the registry it was taken from, so the
-        # live key set is a superset of the snapshot's: equal sizes mean equal
-        # keys and the deletion scans can be skipped (model-checker hot path).
-        # When the sizes match, so do the key sets *and their order* (both
-        # dicts grew by the same insertions), so zipping values skips the
-        # per-name hashing entirely.
+        counter/recorder references at boot, so identity must be preserved),
+        dropping entries created after the snapshot was taken and recreating
+        entries a restore to another snapshot dropped."""
         counters = snap["counters"]
-        live_counters = self._counters
-        if len(live_counters) == len(counters):
-            for counter, value in zip(live_counters.values(), counters.values()):
-                counter.value = value
-        else:
-            for name in list(live_counters):
-                if name not in counters:
-                    del live_counters[name]
-            for name, value in counters.items():
-                live_counters[name].value = value
         latencies = snap["latencies"]
-        live_latencies = self._latencies
-        if len(live_latencies) == len(latencies):
-            for rec, rec_snap in zip(live_latencies.values(), latencies.values()):
-                rec.restore(rec_snap)
-        else:
-            for name in list(live_latencies):
-                if name not in latencies:
-                    del live_latencies[name]
-            for name, rec_snap in latencies.items():
-                live_latencies[name].restore(rec_snap)
         quantiles = snap["quantiles"]
-        live_quantiles = self._quantiles
-        if len(live_quantiles) == len(quantiles):
-            for rec, rec_snap in zip(live_quantiles.values(), quantiles.values()):
-                rec.restore(rec_snap)
-        else:
-            for name in list(live_quantiles):
-                if name not in quantiles:
-                    del live_quantiles[name]
-            for name, rec_snap in quantiles.items():
-                live_quantiles[name].restore(rec_snap)
         rates = snap["rates"]
-        live_rates = self._rates
-        if len(live_rates) == len(rates):
-            for rate, (events, start, end) in zip(live_rates.values(), rates.values()):
-                rate.events = events
-                rate._window_start = start
-                rate._window_end = end
-        else:
-            for name in list(live_rates):
-                if name not in rates:
-                    del live_rates[name]
-            for name, (events, start, end) in rates.items():
-                rate = live_rates.get(name)
-                if rate is None:
-                    rate = live_rates[name] = RateWindow(name, self.sim)
-                rate.events = events
-                rate._window_start = start
-                rate._window_end = end
+        if self._keys_version != snap["keys_version"]:
+            # The key sets differ from the snapshot's (entries created
+            # since, or a restore to a snapshot of another branch): rebuild
+            # each dict in the snapshot's order, so the zips below pair
+            # every entry with its own value.
+            gated = self.gate_latencies
+            _rekey(self._counters, counters, Counter)
+            _rekey(self._latencies, latencies, lambda n: LatencyRecorder(n, gated=gated))
+            _rekey(self._quantiles, quantiles, lambda n: QuantileRecorder(n, gated=gated))
+            _rekey(self._rates, rates, lambda n: RateWindow(n, self.sim))
+            self._keys_version = snap["keys_version"]
+        # Equal versions: the same keys in the same order (the
+        # model-checker hot path skips the per-name hashing).
+        for counter, value in zip(self._counters.values(), counters.values()):
+            counter.value = value
+        for rec, rec_snap in zip(self._latencies.values(), latencies.values()):
+            rec.restore(rec_snap)
+        for rec, rec_snap in zip(self._quantiles.values(), quantiles.values()):
+            rec.restore(rec_snap)
+        for rate, (events, start, end) in zip(self._rates.values(), rates.values()):
+            rate.events = events
+            rate._window_start = start
+            rate._window_end = end
         self._windows_active = snap["windows_active"]
 
     def summary(self) -> Dict[str, object]:

@@ -4,12 +4,12 @@
 the engine's event queues (via :meth:`Simulator.fork`), RNG streams, stats,
 per-core TLBs, page tables, VMAs, the frame allocator, and per-mechanism
 coherence state -- as *structured copies*: containers are copied, while
-immutable leaves (``Pte``, ``TlbEntry``, ``VirtRange``, LATR states' frozen
-identity) are shared between the live world and the snapshot.
+immutable leaves (``Pte``, packed TLB slots, ``VirtRange``, LATR states'
+frozen identity) are shared between the live world and the snapshot.
 :func:`restore_kernel` writes the captured values back **into the same
 objects**, preserving identity everywhere: bound-method callbacks, daemon
 re-arm chains, cached stat objects and cross-references (a ``Task`` pointing
-at its ``MmStruct``, a ``LatrState`` at its queue) all stay valid. No
+at its ``MmStruct``, a LATR state at its queue) all stay valid. No
 ``deepcopy`` is involved, and no generator ever enters a snapshot -- the
 engine refuses to fork while any pending event is a live generator
 continuation, so snapshots are only legal at quiescent points (op
@@ -33,7 +33,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .coherence.latr import LatrCoherence
-from .coherence.states import SoaLatrQueue, SoaLatrState
 from .mm.pagetable import PageTable, ReplicatedPageTable
 from .sim.engine import Signal, SimulationError, live_continuation
 
@@ -105,8 +104,8 @@ def _copy_pt_root(root: Dict) -> Dict:
 
 
 def _tlb_snapshot(tlb) -> Tuple:
-    # TlbEntry objects are immutable after fill, so sharing them is safe;
-    # only the LRU order (the OrderedDicts) and the pcid index are copied.
+    # Slots and keys are ints, so only the containers -- the LRU order
+    # of the two entry dicts and the pcid index -- are copied.
     # The leading version pair keys the skip paths: versions are globally
     # unique per state (see ``repro.hw.tlb._VERSIONS``), so an unchanged
     # version means the previous snapshot tuple is still exact, and a
@@ -134,14 +133,8 @@ def _tlb_restore(tlb, snap: Tuple) -> None:
     (state_version, entries_version, entries, huge, index, huge_index,
      tlb.hits, tlb.misses, tlb.invalidations, tlb.full_flushes,
      tlb.evictions) = snap
-    # Rebuild the container the TLB actually runs on: plain dicts in packed
-    # mode (int keys/slots), OrderedDicts in the legacy representation.
-    if tlb.packed:
-        tlb._entries = dict(entries)
-        tlb._huge_entries = dict(huge)
-    else:
-        tlb._entries = OrderedDict(entries)
-        tlb._huge_entries = OrderedDict(huge)
+    tlb._entries = dict(entries)
+    tlb._huge_entries = dict(huge)
     tlb._index = {pcid: set(vpns) for pcid, vpns in index.items()}
     tlb._huge_index = {pcid: set(vpns) for pcid, vpns in huge_index.items()}
     # The content now *is* the snapshot's, so rewind the versions with it
@@ -313,8 +306,7 @@ def _frames_restore(frames, snap: Tuple) -> None:
 
 def _latr_snapshot(coh: LatrCoherence) -> Tuple:
     # Every state reachable from a queue slot or a pending list gets its
-    # mutable fields recorded (LatrState is an eq-dataclass, hence the
-    # id-keyed dedup map instead of a set).
+    # mutable fields recorded (deduplicated by identity).
     states: Dict[int, Any] = {}
     for queue in coh.queues.values():
         for state in queue.all_states():
@@ -323,46 +315,32 @@ def _latr_snapshot(coh: LatrCoherence) -> Tuple:
         states[id(state)] = state
     for state in coh._migration_states:
         states[id(state)] = state
-    state_snaps = []
-    for s in states.values():
-        if type(s) is SoaLatrState:
-            # The handle's own mask/flag words plus the attachment itself
-            # (while attached, the authoritative words live in the queue
-            # arrays, restored wholesale below); restoring them as direct
-            # field writes keeps the notifying ``active`` property from
-            # firing on a rewind.
-            state_snaps.append(
-                ("soa", s, s._cpu_mask, s._pulled_mask, s._flags,
-                 s.completed_at, s.slot_idx, s.queue, s._attached,
-                 _signal_snapshot(s.done))
-            )
-        else:
-            state_snaps.append(
-                ("obj", s, set(s.cpu_bitmask), s.pte_applied, set(s.pulled_by),
-                 s.__dict__.get("_active_value", True), s.completed_at,
-                 s.reclaimed, s.slot_idx, s.queue, _signal_snapshot(s.done))
-            )
-    queue_snaps = {}
-    for core_id, q in coh.queues.items():
-        qsnap = (list(q._slots), q._cursor, q.posts, q.full_rejections,
-                 q.active_count, dict(q._active_map))
-        if type(q) is SoaLatrQueue:
-            # The parallel arrays travel wholesale; bytes() freezes the
-            # flags bytearray so later mutation can't alias the snapshot.
-            qsnap += ((
-                list(q._seq_a), list(q._mask_a), bytes(q._flags_a),
-                list(q._vpn_a), list(q._npages_a), list(q._posted_a),
-                list(q._remaining_a),
-            ),)
-        queue_snaps[core_id] = qsnap
+    # The handle's own mask/flag words plus the attachment itself (while
+    # attached, the authoritative words live in the queue arrays, restored
+    # wholesale below); restoring them as direct field writes keeps the
+    # notifying ``active`` property from firing on a rewind.
+    state_snaps = [
+        (s, s._cpu_mask, s._pulled_mask, s._flags, s.completed_at,
+         s.slot_idx, s.queue, s._attached, _signal_snapshot(s.done))
+        for s in states.values()
+    ]
+    # The parallel arrays travel wholesale; bytes() freezes the flags
+    # bytearray so later mutation can't alias the snapshot.
+    queue_snaps = {
+        core_id: (
+            list(q._slots), q._cursor, q.posts, q.full_rejections,
+            q.active_count, dict(q._active_map),
+            list(q._seq_a), list(q._mask_a), bytes(q._flags_a),
+            list(q._vpn_a), list(q._npages_a), list(q._posted_a),
+            list(q._remaining_a),
+        )
+        for core_id, q in coh.queues.items()
+    }
     return (
         state_snaps, queue_snaps,
         list(coh._pending_reclaim), list(coh._migration_states),
         coh._reclaimd_started, coh._active_state_count,
         coh._last_posted_seq, dict(coh._sweep_cursor),
-        set(coh._active_queue_ids),
-        None if coh._active_states_sorted is None
-        else list(coh._active_states_sorted),
         [list(inbox) for inbox in coh._inboxes],
         list(coh._wide_seqs), list(coh._wide_gids),
         {core_id: set(gids) for core_id, gids in coh._excluded.items()},
@@ -375,65 +353,44 @@ def _latr_snapshot(coh: LatrCoherence) -> Tuple:
 def _latr_restore(coh: LatrCoherence, snap: Tuple) -> None:
     (state_snaps, queue_snaps, pending_reclaim, migration_states,
      reclaimd_started, active_count, last_posted_seq, sweep_cursor,
-     active_queue_ids, active_sorted, inboxes, wide_seqs, wide_gids,
-     excluded, socket_seqs, unapplied, cold_extra) = snap
-    for row in state_snaps:
-        if row[0] == "soa":
-            (_, state, cpu_mask, pulled_mask, flags, completed_at,
-             slot_idx, queue, attached, done_snap) = row
-            # Direct slot writes: while attached the authoritative words
-            # live in the queue arrays (restored wholesale below); the
-            # handle copies only matter for detached states.
-            state._cpu_mask = cpu_mask
-            state._pulled_mask = pulled_mask
-            state._flags = flags
-            state.completed_at = completed_at
-            state.slot_idx = slot_idx
-            state.queue = queue
-            state._attached = attached
-        else:
-            (_, state, bitmask, pte_applied, pulled_by, active, completed_at,
-             reclaimed, slot_idx, queue, done_snap) = row
-            state.cpu_bitmask = set(bitmask)
-            state.pte_applied = pte_applied
-            state.pulled_by = set(pulled_by)
-            # Direct __dict__ write: the notifying property must not fire on
-            # a rewind (queue/index counts are restored wholesale below).
-            state.__dict__["_active_value"] = active
-            state.completed_at = completed_at
-            state.reclaimed = reclaimed
-            state.slot_idx = slot_idx
-            state.queue = queue
+     inboxes, wide_seqs, wide_gids, excluded, socket_seqs, unapplied,
+     cold_extra) = snap
+    for (state, cpu_mask, pulled_mask, flags, completed_at, slot_idx, queue,
+         attached, done_snap) in state_snaps:
+        # Direct slot writes: while attached the authoritative words live in
+        # the queue arrays (restored wholesale below); the handle copies
+        # only matter for detached states.
+        state._cpu_mask = cpu_mask
+        state._pulled_mask = pulled_mask
+        state._flags = flags
+        state.completed_at = completed_at
+        state.slot_idx = slot_idx
+        state.queue = queue
+        state._attached = attached
         _signal_restore(done_snap)
-    for core_id, qsnap in queue_snaps.items():
+    for core_id, (slots, cursor, posts, rejections, active_n, active_map,
+                  seq_a, mask_a, flags_b, vpn_a, npages_a, posted_a,
+                  remaining_a) in queue_snaps.items():
         q = coh.queues[core_id]
-        slots, cursor, posts, rejections, active_n, active_map = qsnap[:6]
         q._slots = list(slots)
         q._cursor = cursor
         q.posts = posts
         q.full_rejections = rejections
         q.active_count = active_n
         q._active_map = dict(active_map)
-        if len(qsnap) > 6:
-            (seq_a, mask_a, flags_b, vpn_a, npages_a, posted_a,
-             remaining_a) = qsnap[6]
-            q._seq_a = list(seq_a)
-            q._mask_a = list(mask_a)
-            q._flags_a = bytearray(flags_b)
-            q._vpn_a = list(vpn_a)
-            q._npages_a = list(npages_a)
-            q._posted_a = list(posted_a)
-            q._remaining_a = list(remaining_a)
+        q._seq_a = list(seq_a)
+        q._mask_a = list(mask_a)
+        q._flags_a = bytearray(flags_b)
+        q._vpn_a = list(vpn_a)
+        q._npages_a = list(npages_a)
+        q._posted_a = list(posted_a)
+        q._remaining_a = list(remaining_a)
     coh._pending_reclaim = list(pending_reclaim)
     coh._migration_states = list(migration_states)
     coh._reclaimd_started = reclaimd_started
     coh._active_state_count = active_count
     coh._last_posted_seq = last_posted_seq
     coh._sweep_cursor = dict(sweep_cursor)
-    coh._active_queue_ids = set(active_queue_ids)
-    coh._active_states_sorted = (
-        None if active_sorted is None else list(active_sorted)
-    )
     coh._inboxes = [list(inbox) for inbox in inboxes]
     coh._wide_seqs = list(wide_seqs)
     coh._wide_gids = list(wide_gids)

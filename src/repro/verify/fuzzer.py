@@ -96,8 +96,6 @@ def build_fuzz_system(
     latr_kwargs: Optional[Dict[str, object]] = None,
     use_tlb_index: Optional[bool] = None,
     use_pt_replication: Optional[bool] = None,
-    use_packed_tlb: Optional[bool] = None,
-    use_frame_slabs: Optional[bool] = None,
     use_virtualization: Optional[bool] = None,
 ) -> FuzzSystem:
     """Boot a system for one fuzz run, with every schedule knob applied
@@ -133,9 +131,7 @@ def build_fuzz_system(
     else:
         coherence = make_mechanism(mechanism)
 
-    machine = Machine(
-        sim, spec, use_tlb_index=use_tlb_index, use_packed_tlb=use_packed_tlb
-    )
+    machine = Machine(sim, spec, use_tlb_index=use_tlb_index)
     if mutation is not None and mutation.machine_patch is not None:
         mutation.machine_patch(machine)
     kernel = Kernel(
@@ -144,7 +140,6 @@ def build_fuzz_system(
         frames_per_node=frames_per_node,
         seed=plan.seed,
         use_pt_replication=use_pt_replication,
-        use_frame_slabs=use_frame_slabs,
         use_virtualization=use_virtualization,
     )
     if mutation is not None and mutation.kernel_patch is not None:
@@ -519,8 +514,6 @@ def run_one(
     latr_kwargs: Optional[Dict[str, object]] = None,
     use_tlb_index: Optional[bool] = None,
     use_pt_replication: Optional[bool] = None,
-    use_packed_tlb: Optional[bool] = None,
-    use_frame_slabs: Optional[bool] = None,
     use_virtualization: Optional[bool] = None,
     pool=None,
 ) -> RunResult:
@@ -544,8 +537,6 @@ def run_one(
             latr_kwargs=latr_kwargs,
             use_tlb_index=use_tlb_index,
             use_pt_replication=use_pt_replication,
-            use_packed_tlb=use_packed_tlb,
-            use_frame_slabs=use_frame_slabs,
             use_virtualization=use_virtualization,
         )
 
@@ -559,8 +550,7 @@ def run_one(
             tuple(sorted(plan.schedule.tick_offsets.items())),
             frames_per_node, monitor_stride,
             tuple(sorted((latr_kwargs or {}).items())),
-            use_tlb_index, use_pt_replication,
-            use_packed_tlb, use_frame_slabs, use_virtualization,
+            use_tlb_index, use_pt_replication, use_virtualization,
         )
         system = pool.acquire(key, build)
     else:

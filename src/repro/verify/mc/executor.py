@@ -63,11 +63,11 @@ from .program import McOp, generate_program, per_core_programs
 #: re-run a trace with one fast-path escape hatch or engine order flipped
 #: (identical end state required), or under a synchronous mechanism
 #: (normalized end state required).
-TOGGLE_VARIANTS = ("tlbidx", "sweepidx", "soa", "packedtlb", "slabs")
+TOGGLE_VARIANTS = ("tlbidx", "sweepidx")
 ORDER_VARIANTS = ("revheap",)
 
 #: The flag names a packed slot's SOA_MIGRATION bit stands for (what
-#: ``LatrState.flag.name`` reads in the object model).
+#: the state's ``flag.name`` reads).
 _MIGRATION = LatrFlag.MIGRATION.name
 _FREE = LatrFlag.FREE.name
 
@@ -160,19 +160,16 @@ class McExecutor:
                 sweep_on_context_switch=False,
                 sweep_on_tick=False,
                 use_sweep_index=(variant != "sweepidx"),
-                use_soa_states=(variant != "soa"),
             )
         machine = Machine(
             sim,
             _build_spec(scope.cores),
             use_tlb_index=(False if variant == "tlbidx" else None),
-            use_packed_tlb=(False if variant == "packedtlb" else None),
         )
         if self.mutation is not None and self.mutation.machine_patch is not None:
             self.mutation.machine_patch(machine)
         kernel = Kernel(
-            machine, coherence, frames_per_node=scope.frames_per_node, seed=1,
-            use_frame_slabs=(False if variant == "slabs" else None),
+            machine, coherence, frames_per_node=scope.frames_per_node, seed=1
         )
         if self.mutation is not None and self.mutation.kernel_patch is not None:
             self.mutation.kernel_patch(kernel)
@@ -242,25 +239,16 @@ class McExecutor:
                 actions.append(self.core_ops[c][self.pc[c]].key)
         if self.is_latr:
             co = self.coherence
-            if co.use_soa_states:
-                # The packed queues: OR the live masks of the active slots.
-                union = 0
-                for queue in co._queue_list:
-                    if not queue.active_count:
-                        continue
-                    flags = queue._flags_a
-                    for idx, mask in enumerate(co.live_masks(queue)):
-                        if mask and flags[idx] & SOA_ACTIVE:
-                            union |= mask
-                cores_with_bits = self._bits_of(union)
-            else:
-                bits: set = set()
-                for queue in co.queues.values():
-                    for state in queue._slots:
-                        if state is not None and state.active:
-                            bits |= state.cpu_bitmask
-                cores_with_bits = sorted(bits)
-            actions.extend(f"sweep:c{c}" for c in cores_with_bits)
+            # OR the live masks of the active slots.
+            union = 0
+            for queue in co._queue_list:
+                if not queue.active_count:
+                    continue
+                flags = queue._flags_a
+                for idx, mask in enumerate(co.live_masks(queue)):
+                    if mask and flags[idx] & SOA_ACTIVE:
+                        union |= mask
+            actions.extend(f"sweep:c{c}" for c in self._bits_of(union))
             pending = co._pending_reclaim
             if self._eager_reclaim:
                 reclaimable = bool(pending)
@@ -444,8 +432,6 @@ class McExecutor:
             cache_key = (core.id, include_derived)
             hit = canon_cache.get(cache_key)
             if hit is None or hit[0] != version:
-                # canonical_rows() yields identical tuples from the packed
-                # and legacy representations, so toggle-variant hashes agree.
                 row = (core.id, tlb.canonical_rows(), tlb.canonical_huge_rows())
                 if include_derived and tlb.use_index:
                     row += (
@@ -560,21 +546,15 @@ class McExecutor:
             sorted_queues = self._latr_queues = [
                 (core_id, co.queues[core_id]) for core_id in sorted(co.queues)
             ]
-        packed = co.use_soa_states
-        # Normalize the process-global LatrState.seq to per-system posting
-        # rank: raw seqs differ between otherwise-identical replays. A
-        # packed slot holds a state iff its seq is nonzero.
-        if packed:
-            seqs = [seq for _cid, q in sorted_queues for seq in q._seq_a if seq]
-        else:
-            seqs = [
-                s.seq for _cid, q in sorted_queues for s in q._slots if s is not None
-            ]
+        # Normalize the process-global state seq to per-system posting rank:
+        # raw seqs differ between otherwise-identical replays. A slot holds
+        # a state iff its seq is nonzero.
+        seqs = [seq for _cid, q in sorted_queues for seq in q._seq_a if seq]
         if not seqs and not co._pending_reclaim:
             # All slots empty (the common state between munmap bursts): the
             # per-slot walk collapses to cursors and depths. The encoding
             # (an int instead of a slot tuple) cannot collide with the
-            # populated form, and both legs share this code.
+            # populated form.
             queues = [
                 (core_id, q._cursor, len(q._slots)) for core_id, q in sorted_queues
             ]
@@ -587,9 +567,8 @@ class McExecutor:
             return out
         seqs.sort()
         rank = dict(zip(seqs, range(len(seqs))))
-        rows_of = self._packed_rows if packed else self._object_rows
         queues = [
-            (core_id, queue._cursor, rows_of(queue, rank))
+            (core_id, queue._cursor, self._slot_rows(queue, rank))
             for core_id, queue in sorted_queues
         ]
         pending = tuple(
@@ -605,10 +584,9 @@ class McExecutor:
             out += (cursors, self._canonical_inboxes())
         return out
 
-    def _packed_rows(self, queue, rank: Dict[int, int]) -> tuple:
-        """One canonical row per slot of a packed queue, read from its
-        arrays (masks through one ``live_masks`` pass); field for field
-        what :meth:`_object_rows` yields for the same state."""
+    def _slot_rows(self, queue, rank: Dict[int, int]) -> tuple:
+        """One canonical row per slot of ``queue``, read from its arrays
+        (masks through one ``live_masks`` pass)."""
         seq_a = queue._seq_a
         rows = [None] * len(seq_a)
         if not any(seq_a):
@@ -641,30 +619,6 @@ class McExecutor:
             )
         return tuple(rows)
 
-    @staticmethod
-    def _object_rows(queue, rank: Dict[int, int]) -> tuple:
-        """One canonical row per slot of an object-model queue."""
-        rows = []
-        for s in queue._slots:
-            if s is None:
-                rows.append(None)
-                continue
-            vrange = s.vrange
-            to_free = s.vrange_to_free
-            rows.append((
-                s.slot_idx,
-                rank[s.seq],
-                s.flag.name,
-                s.active,
-                tuple(sorted(s.cpu_bitmask)),
-                (vrange.start, vrange.end),
-                tuple(s.pfns),
-                None if to_free is None else (to_free.start, to_free.end),
-                s.pte_applied,
-                s.reclaimed,
-            ))
-        return tuple(rows)
-
     def _bits_of(self, mask: int) -> List[int]:
         """Ascending core ids of ``mask``, memoized: at checker scope a
         handful of masks recur at every node. Callers copy the list into a
@@ -678,17 +632,16 @@ class McExecutor:
         return ids
 
     def _canonical_inboxes(self):
-        """The inbox sweep's own bookkeeping (empty under the object-model
-        queues), in global slot ids -- (owner, slot), seq-free: each core's
-        inbox, the wide log, each core's exclusions, and every slot's
-        remaining count."""
+        """The inbox sweep's own bookkeeping (empty under the full scan),
+        in global slot ids -- (owner, slot), seq-free: each core's inbox,
+        the wide log, each core's exclusions, and every slot's remaining
+        count."""
         co = self.coherence
         return (
             tuple(tuple(sorted(inbox)) for inbox in co._inboxes),
             tuple(co._wide_gids),
             tuple(sorted((c, tuple(sorted(g))) for c, g in co._excluded.items())),
-            tuple(tuple(q._remaining_a) for q in co._queue_list)
-            if co.use_soa_states else (),
+            tuple(tuple(q._remaining_a) for q in co._queue_list),
         )
 
     # ------------------------------------------------------------- snapshots

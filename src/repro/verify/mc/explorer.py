@@ -28,8 +28,7 @@ finding; this is how sweep-cache staleness shows up exhaustively.
 
 Complete (maximal, drained) traces run through the differential oracle:
 replayed with each fast-path escape hatch toggled (TLB index, sweep
-index, SoA states, packed TLB, frame slabs -- end state must be
-hash-identical), with the
+index -- end state must be hash-identical), with the
 engine's same-instant event order reversed through the ready-set hook
 (normalized end state must match), and under each synchronous mechanism
 (normalized end state must match). Counterexample traces are shrunk with

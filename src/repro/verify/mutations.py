@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Type
 
 from ..coherence.latr import LatrCoherence
 from ..coherence.numapte import NumaPteCoherence
-from ..coherence.states import LatrFlag, LatrState
+from ..coherence.states import LatrFlag, SoaLatrState
 from ..hw.machine import Machine
 
 MUTATIONS = (
@@ -109,7 +109,7 @@ class EagerReclaimLatr(LatrCoherence):
         tick = self.kernel.machine.spec.tick_interval_ns
         delay = self.reclaim_delay_ticks * tick
         now = self.kernel.sim.now
-        still_pending: List[LatrState] = []
+        still_pending: List[SoaLatrState] = []
         owner_costs: Dict[int, int] = {}
         for state in self._pending_reclaim:
             if now - state.posted_at < delay:  # BUG: no state.active guard
@@ -177,20 +177,8 @@ def desync_tlb_index(machine: Machine) -> None:
                 # translation stays resident but invisible to shootdowns.
                 _tlb._index_drop(_tlb._index, _tlb._key(pcid, vpn))
 
+        # ``fill`` routes through the instance's patched ``fill_new``.
         tlb.fill_new = fill_new
-        if not tlb.packed:
-            # Legacy representation: ``fill`` installs entries without
-            # delegating to ``fill_new``, so it needs its own patch (packed
-            # ``fill`` routes through the instance's patched ``fill_new``).
-            original_fill = tlb.fill
-
-            def fill(pcid, vpn, entry, _tlb=tlb, _orig=original_fill, _fills=fills):
-                _orig(pcid, vpn, entry)
-                _fills[0] += 1
-                if _fills[0] % 2 == 0:
-                    _tlb._index_drop(_tlb._index, _tlb._key(pcid, vpn))
-
-            tlb.fill = fill
 
 
 class StaleActiveCacheLatr(LatrCoherence):

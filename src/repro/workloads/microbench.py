@@ -274,7 +274,7 @@ class MunmapMicrobench:
         metrics = {"peak_lazy_mb": peak["bytes"] / (1024 * 1024)}
         # Fixed per-core state-queue memory (paper 4.1: depth x 68 B per
         # core), summed over the actual queues so the number tracks the
-        # live representation -- SoA or object -- not just the spec.
+        # live queues, not just the spec.
         coherence = kernel.coherence
         if hasattr(coherence, "queues"):
             state_bytes = sum(q.footprint_bytes() for q in coherence.queues.values())

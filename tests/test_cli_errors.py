@@ -26,6 +26,27 @@ class TestErrorPaths:
         assert main(["mc", "--mutate", "bogus"]) == 2
         assert "unknown mutation" in capsys.readouterr().err
 
+    def test_unknown_experiment_creates_no_output_file(self, tmp_path, capsys):
+        target = tmp_path / "out.txt"
+        assert main(["definitely-not-an-experiment", "-o", str(target)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("unknown experiment 'definitely-not-an-experiment'")
+        assert not target.exists()
+
+    def test_key_error_inside_a_run_is_not_bad_input(self, monkeypatch, capsys):
+        # A KeyError raised by a run is a bug with a traceback, not an
+        # unknown experiment id (exit 2 with just the key).
+        from repro.experiments import runner
+
+        def broken(*args, **kwargs):
+            raise KeyError("llc.state_lines")
+
+        monkeypatch.setattr(runner, "execute_experiment", broken)
+        with pytest.raises(KeyError, match="llc.state_lines"):
+            main(["tab1", "--fast"])
+        assert capsys.readouterr().err == ""
+
     def test_mc_scope_bounds_exit_2(self, capsys):
         for argv in (
             ["mc", "--cores", "5"],

@@ -6,8 +6,8 @@ from repro.coherence.states import (
     DEFAULT_QUEUE_DEPTH,
     STATE_BYTES,
     LatrFlag,
-    LatrState,
-    LatrStateQueue,
+    SoaLatrQueue,
+    SoaLatrState,
 )
 from repro.mm.addr import VirtRange
 from repro.mm.mmstruct import MmStruct
@@ -17,7 +17,7 @@ from repro.sim.engine import Signal, Simulator
 def make_state(sim=None, cpus=(1, 2), flag=LatrFlag.FREE, reclaimed_ok=True):
     sim = sim or Simulator()
     mm = MmStruct(sim)
-    state = LatrState(
+    state = SoaLatrState(
         vrange=VirtRange.from_pages(10, 1),
         mm=mm,
         cpu_bitmask=set(cpus),
@@ -58,7 +58,7 @@ class TestLatrState:
 
 class TestLatrStateQueue:
     def test_post_and_iterate(self):
-        q = LatrStateQueue(core_id=0, depth=4)
+        q = SoaLatrQueue(core_id=0, depth=4)
         s = make_state()
         assert q.post(s)
         assert list(q.active_states()) == [s]
@@ -66,7 +66,7 @@ class TestLatrStateQueue:
 
     def test_full_queue_rejects(self):
         """Paper section 8: full queue -> fall back to IPIs."""
-        q = LatrStateQueue(core_id=0, depth=2)
+        q = SoaLatrQueue(core_id=0, depth=2)
         assert q.post(make_state())
         assert q.post(make_state())
         assert not q.post(make_state())
@@ -74,7 +74,7 @@ class TestLatrStateQueue:
 
     def test_inactive_but_unreclaimed_slot_not_reusable(self):
         """A FREE state must survive until the reclaim daemon ran."""
-        q = LatrStateQueue(core_id=0, depth=1)
+        q = SoaLatrQueue(core_id=0, depth=1)
         s = make_state(cpus=(1,))
         assert q.post(s)
         s.clear_cpu(1, now=1)
@@ -84,7 +84,7 @@ class TestLatrStateQueue:
         assert q.post(make_state())
 
     def test_cyclic_reuse(self):
-        q = LatrStateQueue(core_id=0, depth=2)
+        q = SoaLatrQueue(core_id=0, depth=2)
         states = [make_state(cpus=(1,)) for _ in range(4)]
         for i, s in enumerate(states):
             s.reclaimed = True  # pretend reclamation is instant
@@ -94,7 +94,7 @@ class TestLatrStateQueue:
         assert q.posts == 4
 
     def test_occupancy(self):
-        q = LatrStateQueue(core_id=0, depth=4)
+        q = SoaLatrQueue(core_id=0, depth=4)
         s1, s2 = make_state(), make_state(cpus=(1,))
         q.post(s1)
         q.post(s2)
@@ -104,66 +104,44 @@ class TestLatrStateQueue:
         assert q.occupancy() == 1
 
     def test_footprint_matches_paper(self):
-        q = LatrStateQueue(core_id=0)
+        q = SoaLatrQueue(core_id=0)
         assert q.footprint_bytes() == 64 * 68
 
     def test_bad_depth(self):
         with pytest.raises(ValueError):
-            LatrStateQueue(0, depth=0)
+            SoaLatrQueue(0, depth=0)
 
 
-from repro.coherence.states import SoaLatrQueue, SoaLatrState
-
-
-def make_state_of(state_cls, sim=None, cpus=(1, 2), flag=LatrFlag.FREE):
-    sim = sim or Simulator()
-    mm = MmStruct(sim)
-    return state_cls(
-        vrange=VirtRange.from_pages(10, 1),
-        mm=mm,
-        cpu_bitmask=set(cpus),
-        flag=flag,
-        owner_core=0,
-        posted_at=0,
-        done=Signal(sim),
-    )
-
-
-@pytest.mark.parametrize(
-    "queue_cls,state_cls",
-    [(LatrStateQueue, LatrState), (SoaLatrQueue, SoaLatrState)],
-    ids=["object", "soa"],
-)
 class TestQueueDepthBoundary:
-    """The cyclic ring at its depth limit, for both representations."""
+    """The cyclic ring at its depth limit."""
 
-    def test_overflow_rejected_at_depth(self, queue_cls, state_cls):
-        q = queue_cls(core_id=0, depth=3)
+    def test_overflow_rejected_at_depth(self):
+        q = SoaLatrQueue(core_id=0, depth=3)
         sim = Simulator()
         for _ in range(3):
-            assert q.post(make_state_of(state_cls, sim)) is True
+            assert q.post(make_state(sim)) is True
         assert q.occupancy() == 3
         assert q.active_count == 3
-        overflow = make_state_of(state_cls, sim)
+        overflow = make_state(sim)
         assert q.post(overflow) is False
         assert q.full_rejections == 1
         assert q.posts == 3
         # The rejected state never joined the ring.
         assert overflow not in list(q.all_states())
 
-    def test_slot_reuse_after_deactivate_and_reclaim(self, queue_cls, state_cls):
-        q = queue_cls(core_id=0, depth=2)
+    def test_slot_reuse_after_deactivate_and_reclaim(self):
+        q = SoaLatrQueue(core_id=0, depth=2)
         sim = Simulator()
-        first = make_state_of(state_cls, sim, cpus=(1,))
-        second = make_state_of(state_cls, sim, cpus=(1,))
+        first = make_state(sim, cpus=(1,))
+        second = make_state(sim, cpus=(1,))
         q.post(first)
         q.post(second)
         # Inactive alone is not reusable (FREE records must outlive the
         # reclamation daemon); the cursor slot still blocks the post.
         first.clear_cpu(1, now=5)
-        assert q.post(make_state_of(state_cls, sim)) is False
+        assert q.post(make_state(sim)) is False
         first.reclaimed = True
-        replacement = make_state_of(state_cls, sim)
+        replacement = make_state(sim)
         assert q.post(replacement) is True
         assert replacement.slot_idx == first.slot_idx
         # The recycled state keeps its exact final values off-ring.
@@ -172,11 +150,11 @@ class TestQueueDepthBoundary:
         assert first.completed_at == 5
         assert sorted(first.cpu_bitmask) == []
 
-    def test_occupancy_counts_unreclaimed_inactive(self, queue_cls, state_cls):
-        q = queue_cls(core_id=0, depth=4)
+    def test_occupancy_counts_unreclaimed_inactive(self):
+        q = SoaLatrQueue(core_id=0, depth=4)
         sim = Simulator()
-        s1 = make_state_of(state_cls, sim, cpus=(1,))
-        s2 = make_state_of(state_cls, sim, cpus=(2,))
+        s1 = make_state(sim, cpus=(1,))
+        s2 = make_state(sim, cpus=(2,))
         q.post(s1)
         q.post(s2)
         assert q.occupancy() == 2
@@ -187,8 +165,8 @@ class TestQueueDepthBoundary:
         s1.reclaimed = True
         assert q.occupancy() == 1
 
-    def test_footprint_independent_of_occupancy(self, queue_cls, state_cls):
-        q = queue_cls(core_id=0, depth=8)
+    def test_footprint_independent_of_occupancy(self):
+        q = SoaLatrQueue(core_id=0, depth=8)
         assert q.footprint_bytes() == 8 * STATE_BYTES
-        q.post(make_state_of(state_cls))
+        q.post(make_state())
         assert q.footprint_bytes() == 8 * STATE_BYTES

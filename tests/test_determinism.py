@@ -11,16 +11,24 @@ Golden fingerprints pin modelled output across commits: the engine's
 executed ``(time, seq)`` order on the engine-stress churn, the end state
 of three fuzz plans, the model checker's canonical state-hash sets (a
 healthy exhaustive run and three mutation audits, with their search
-counts), and every experiment's ``--fast`` rendered table. Each value is
-the same under ``PYTHONHASHSEED`` 0 and 1. A change that moves any of them
-must update the value here and name the cause in CHANGES.md.
+counts), the 960-core fleet smoke's stats summaries (pinned in
+``repro.bench.FLEET_SMOKE_FINGERPRINTS``, which ``repro ci`` checks too),
+and every experiment's ``--fast`` rendered table. Each value is the same
+under ``PYTHONHASHSEED`` 0 and 1. A change that moves any of them must
+update the value and name the cause in CHANGES.md.
 """
 
 import hashlib
 
 import pytest
 
-from repro.bench import run_engine_stress
+from repro.bench import (
+    FLEET_SMOKE_FINGERPRINTS,
+    FLEET_SMOKE_SCOPE,
+    fleet_fingerprint,
+    run_engine_stress,
+    run_fleet_stress,
+)
 from repro.experiments import available_experiments, run_experiment
 from repro.experiments.runner import run_many
 from repro.verify.fuzzer import run_one
@@ -52,6 +60,12 @@ def test_fuzz_plan_fingerprint(seed, expected):
     assert _fingerprint(
         (r.sim_time_ns, sorted(r.stats_summary.items()), r.snapshot)
     ) == expected
+
+
+@pytest.mark.parametrize("seed", sorted(FLEET_SMOKE_FINGERPRINTS))
+def test_fleet_smoke_fingerprint(seed):
+    summary = run_fleet_stress(scope=FLEET_SMOKE_SCOPE, seed=seed)
+    assert fleet_fingerprint(summary) == FLEET_SMOKE_FINGERPRINTS[seed]
 
 
 def _state_hashes(report):

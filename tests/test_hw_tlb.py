@@ -254,9 +254,8 @@ class TestAccessors:
         stats = tlb.stats()
         assert stats["resident"] == 1
 
-    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "object"])
-    def test_frame_refs_match_decoded_items(self, packed):
-        tlb = Tlb(capacity=8, pcid_enabled=True, use_packed=packed)
+    def test_frame_refs_match_decoded_items(self):
+        tlb = Tlb(capacity=8, pcid_enabled=True)
         tlb.fill(2, 7, TlbEntry(pfn=40, generation=3))
         tlb.fill(1, 9, TlbEntry(pfn=41, writable=False, generation=0))
         tlb.fill_huge(1, HUGE_SPAN, TlbEntry(pfn=512, generation=2))
@@ -272,9 +271,8 @@ class TestVersions:
     key on them); a drop must mint new ones."""
 
     @pytest.mark.parametrize("use_index", [True, False], ids=["index", "scan"])
-    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "object"])
-    def test_miss_keeps_versions_and_hit_changes_both(self, packed, use_index):
-        tlb = Tlb(capacity=8, pcid_enabled=True, use_index=use_index, use_packed=packed)
+    def test_miss_keeps_versions_and_hit_changes_both(self, use_index):
+        tlb = Tlb(capacity=8, pcid_enabled=True, use_index=use_index)
         fill(tlb, 5)
         fill(tlb, 6)
         tlb.fill_huge(1, HUGE_SPAN, TlbEntry(pfn=77))

@@ -7,8 +7,6 @@ nothing.
 
 from types import SimpleNamespace
 
-import pytest
-
 from repro import build_system
 from repro.hw.tlb import Tlb, TlbEntry
 from repro.kernel.invariants import (
@@ -73,19 +71,16 @@ class TestTlbFrameSafetyChecker:
 class TestTlbFrameSafetyWording:
     """Healthy runs never reach the checker's wording branch, so its exact
     messages and their order are pinned here, for freed and recycled
-    frames behind 4 KiB and huge entries of both TLB representations."""
+    frames behind 4 KiB and huge entries."""
 
-    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "object"])
-    def test_messages_and_order(self, packed):
+    def test_messages_and_order(self):
         frames = FrameAllocator(nodes=1, frames_per_node=4)
         ok, freed, recycled, _spare = (frames.alloc() for _ in range(4))
         frames.put(recycled)
         frames.put(freed)
         assert frames.alloc() == recycled  # back in use, one generation on
         cores = [
-            SimpleNamespace(
-                id=core_id, tlb=Tlb(capacity=8, pcid_enabled=True, use_packed=packed)
-            )
+            SimpleNamespace(id=core_id, tlb=Tlb(capacity=8, pcid_enabled=True))
             for core_id in range(3)
         ]
         cores[0].tlb.fill(1, 0x10, TlbEntry(pfn=ok))

@@ -57,15 +57,6 @@ class TestStateFootprintMetric:
             spec.latr_state_footprint_bytes / 1024
         )
 
-    def test_soa_and_object_queues_report_identical_footprint(self):
-        from repro.workloads.microbench import run_memoverhead
-
-        soa = run_memoverhead("latr", cores=4, reps=6)
-        obj = run_memoverhead(
-            "latr", mechanism_kwargs={"use_soa_states": False}, cores=4, reps=6
-        )
-        assert soa.metrics["latr_state_kb"] == obj.metrics["latr_state_kb"]
-
     def test_numapte_has_no_state_queue_metric(self):
         from repro.workloads.microbench import run_memoverhead
 

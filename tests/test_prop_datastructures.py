@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the core data structures."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.mm.addr import PAGE_SIZE, VirtRange
@@ -155,8 +156,10 @@ class TestVmaSetProperties:
 
 
 class TestSoaQueueVsObjectShadow:
-    """The struct-of-arrays LATR queue must be observationally identical to
-    the object-model queue under any post/pull/clear/reclaim sequence."""
+    """The struct-of-arrays LATR queue must behave like a small object
+    shadow of the ring (one record per posted state) under any
+    post/pull/clear/reclaim sequence: acceptance, full rejections, clears,
+    reclaims, occupancy and the active states in slot order."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -167,76 +170,156 @@ class TestSoaQueueVsObjectShadow:
                 st.integers(min_value=0, max_value=1_000),
                 st.integers(min_value=0, max_value=7),
             ),
+            min_size=30,
             max_size=120,
         ),
     )
     def test_shadow_models_agree(self, depth, ops):
-        from repro.coherence.states import (
-            LatrFlag,
-            LatrState,
-            LatrStateQueue,
-            SoaLatrQueue,
-            SoaLatrState,
-        )
+        from repro.coherence.states import LatrFlag, SoaLatrQueue, SoaLatrState
         from repro.mm.mmstruct import MmStruct
         from repro.sim.engine import Signal, Simulator
 
         sim = Simulator()
         mm = MmStruct(sim)
-        obj_q = LatrStateQueue(core_id=0, depth=depth)
-        soa_q = SoaLatrQueue(core_id=0, depth=depth)
-        pairs = []  # (object state, SoA state), in posting order
+        queue = SoaLatrQueue(core_id=0, depth=depth)
+        # The shadow ring: a slot is reusable once its record is inactive
+        # and reclaimed; the cursor advances on every accepted post.
+        ring = [None] * depth
+        cursor = posts = rejections = 0
+        pairs = []  # (shadow record, SoA state), in posting order
         now = 0
         for kind, pick, core in ops:
             now += 1
             if kind == "post":
                 cpus = {core, (pick % 8)}
-                flag = LatrFlag.FREE if pick % 3 else LatrFlag.MIGRATION
-                made = []
-                for state_cls in (LatrState, SoaLatrState):
-                    made.append(
-                        state_cls(
-                            vrange=VirtRange.from_pages(10 + pick % 50, 1 + pick % 4),
-                            mm=mm,
-                            cpu_bitmask=set(cpus),
-                            flag=flag,
-                            owner_core=0,
-                            posted_at=now,
-                            done=Signal(sim),
-                        )
-                    )
-                obj_s, soa_s = made
-                accepted_obj = obj_q.post(obj_s)
-                accepted_soa = soa_q.post(soa_s)
-                assert accepted_obj == accepted_soa
-                if accepted_obj:
-                    pairs.append((obj_s, soa_s))
+                state = SoaLatrState(
+                    vrange=VirtRange.from_pages(10 + pick % 50, 1 + pick % 4),
+                    mm=mm,
+                    cpu_bitmask=set(cpus),
+                    flag=LatrFlag.FREE if pick % 3 else LatrFlag.MIGRATION,
+                    owner_core=0,
+                    posted_at=now,
+                    done=Signal(sim),
+                )
+                old = ring[cursor]
+                full = old is not None and (old["active"] or not old["reclaimed"])
+                assert queue.post(state) is not full
+                if full:
+                    rejections += 1
+                    continue
+                record = dict(
+                    slot=cursor, cpus=cpus, pulled=set(), active=True,
+                    reclaimed=False, completed_at=None,
+                )
+                ring[cursor] = record
+                cursor = (cursor + 1) % depth
+                posts += 1
+                pairs.append((record, state))
             elif not pairs:
                 continue
             else:
-                obj_s, soa_s = pairs[pick % len(pairs)]
+                record, state = pairs[pick % len(pairs)]
                 if kind == "clear":
-                    assert obj_s.clear_cpu(core, now) == soa_s.clear_cpu(core, now)
+                    if pick % 2 and record["cpus"]:
+                        # A core the state still waits for, so states
+                        # retire often enough to recycle their slots.
+                        core = min(record["cpus"])
+                    record["cpus"].discard(core)
+                    last = not record["cpus"] and record["active"]
+                    if last:
+                        record["active"] = False
+                        record["completed_at"] = now
+                    assert state.clear_cpu(core, now) == last
+                    assert state.done.triggered == (record["completed_at"] is not None)
                 elif kind == "pull":
-                    obj_s.pulled_by.add(core)
-                    soa_s.pulled_by.add(core)
+                    record["pulled"].add(core)
+                    state.pulled_by.add(core)
                 else:
-                    obj_s.reclaimed = True
-                    soa_s.reclaimed = True
-            assert obj_q.active_count == soa_q.active_count
-            assert obj_q.occupancy() == soa_q.occupancy()
-            assert obj_q.posts == soa_q.posts
-            assert obj_q.full_rejections == soa_q.full_rejections
-            active_obj = obj_q.active_states_after(-1)
-            active_soa = soa_q.active_states_after(-1)
-            assert [s.slot_idx for s in active_obj] == [s.slot_idx for s in active_soa]
-        # Final deep comparison: every state pair ever posted (attached or
-        # recycled) agrees on all observable fields.
-        for obj_s, soa_s in pairs:
-            assert sorted(obj_s.cpu_bitmask) == sorted(soa_s.cpu_bitmask)
-            assert sorted(obj_s.pulled_by) == sorted(soa_s.pulled_by)
-            assert obj_s.active == soa_s.active
-            assert obj_s.pte_applied == soa_s.pte_applied
-            assert obj_s.reclaimed == soa_s.reclaimed
-            assert obj_s.completed_at == soa_s.completed_at
-        assert obj_q.footprint_bytes() == soa_q.footprint_bytes()
+                    record["reclaimed"] = True
+                    state.reclaimed = True
+            active = [r["slot"] for r in ring if r is not None and r["active"]]
+            assert [s.slot_idx for s in queue.active_states()] == active
+            assert queue.active_count == len(active)
+            assert queue.occupancy() == sum(
+                1 for r in ring if r is not None and (r["active"] or not r["reclaimed"])
+            )
+            assert queue.posts == posts
+            assert queue.full_rejections == rejections
+        # Final deep comparison: every state ever posted (attached or
+        # recycled) agrees with its record on all observable fields.
+        for record, state in pairs:
+            assert state.slot_idx == record["slot"]
+            assert sorted(state.cpu_bitmask) == sorted(record["cpus"])
+            assert sorted(state.pulled_by) == sorted(record["pulled"])
+            assert state.active == record["active"]
+            assert not state.pte_applied
+            assert state.reclaimed == record["reclaimed"]
+            assert state.completed_at == record["completed_at"]
+        assert queue.footprint_bytes() == depth * 68
+
+
+class TestFreeBatchVsPutLoop:
+    """``FrameAllocator.free_batch`` against a ``put`` loop on a twin
+    allocator: same return value, refcounts, generations, free-list order,
+    counters and errors -- double frees part-way through a batch included."""
+
+    @SETTINGS
+    @given(
+        nodes=st.integers(min_value=1, max_value=3),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["alloc", "get", "batch"]),
+                st.integers(min_value=0, max_value=1_000),
+                st.lists(st.integers(min_value=0, max_value=1_000), max_size=12),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_matches_put_loop(self, nodes, ops):
+        frames_per_node = 8
+        batched = FrameAllocator(nodes=nodes, frames_per_node=frames_per_node)
+        looped = FrameAllocator(nodes=nodes, frames_per_node=frames_per_node)
+        total = nodes * frames_per_node
+        live = []
+        for kind, pick, picks in ops:
+            if kind == "alloc":
+                node = pick % nodes
+                try:
+                    pfn = batched.alloc(node)
+                except FrameAllocatorError:
+                    with pytest.raises(FrameAllocatorError):
+                        looped.alloc(node)
+                    continue
+                assert looped.alloc(node) == pfn
+                live.append(pfn)
+            elif kind == "get" and live:
+                pfn = live[pick % len(live)]
+                batched.get(pfn)
+                looped.get(pfn)
+            elif kind == "batch":
+                # Mostly live frames (repeats take several references),
+                # sometimes a free one: a double free part-way through.
+                pfns = [
+                    live[p % len(live)] if live and p % 5 else p % total
+                    for p in picks
+                ]
+                expected, expected_error = [], None
+                try:
+                    for pfn in pfns:
+                        if looped.put(pfn):
+                            expected.append(pfn)
+                except FrameAllocatorError as exc:
+                    expected_error = str(exc)
+                try:
+                    freed = batched.free_batch(pfns)
+                except FrameAllocatorError as exc:
+                    assert str(exc) == expected_error
+                else:
+                    assert expected_error is None
+                    assert freed == expected
+                live = [pfn for pfn in live if looped.is_allocated(pfn)]
+            assert batched._refcount == looped._refcount
+            assert batched._generation == looped._generation
+            assert [list(fl) for fl in batched._free] == [list(fl) for fl in looped._free]
+            assert batched.total_frees == looped.total_frees
+            assert batched.total_allocs == looped.total_allocs

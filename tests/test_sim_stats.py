@@ -168,6 +168,55 @@ class TestStatsRegistry:
         assert rate.per_second() == pytest.approx(4.0)
 
 
+class TestRestoreAcrossBranches:
+    """``restore`` to a snapshot that is not an ancestor of the live state:
+    a branch taken after rewinding to an earlier snapshot."""
+
+    def test_equal_sized_but_different_key_sets(self):
+        sim = Simulator()
+        stats = StatsRegistry(sim)
+        empty = stats.snapshot()
+        stats.counter("a").add(3)
+        stats.latency("la").record(10)
+        stats.quantile("qa").record(20)
+        stats.rate("ra").hit()
+        branch_a = stats.snapshot()
+        summary_a = stats.summary()
+        stats.restore(empty)
+        assert stats.summary() == {}
+        stats.counter("b").add(5)
+        stats.latency("lb").record(30)
+        stats.quantile("qb").record(40)
+        stats.rate("rb").hit(2)
+        summary_b = stats.summary()
+        branch_b = stats.snapshot()
+        # Same sizes, different names: every value must land on its own
+        # entry, and the other branch's names must be gone.
+        stats.restore(branch_a)
+        assert stats.summary() == summary_a
+        stats.restore(branch_b)
+        assert stats.summary() == summary_b
+
+    def test_model_checker_restore_after_rewind(self):
+        # Fork at every depth of one schedule, then restore the deepest
+        # snapshot, an early one, and the deepest again: the last restore
+        # recreates the entries the early one dropped.
+        from repro.verify.mc.executor import McExecutor, McScope
+
+        executor = McExecutor(McScope(cores=3, pages=2, ops=5))
+        snaps, hashes, summaries = [], [], []
+        while len(snaps) < 10:
+            snaps.append(executor.fork())
+            hashes.append(executor.state_hash())
+            summaries.append(executor.kernel.stats.summary())
+            if len(snaps) < 10:
+                executor.execute(executor.enabled_actions()[0])
+        for depth in (9, 1, 9):
+            executor.restore(snaps[depth])
+            assert executor.state_hash() == hashes[depth]
+            assert executor.kernel.stats.summary() == summaries[depth]
+
+
 def test_weighted_mean():
     assert weighted_mean([(10, 1), (20, 3)]) == pytest.approx(17.5)
     assert weighted_mean([]) == 0.0

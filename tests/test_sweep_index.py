@@ -1,11 +1,11 @@
-"""Equivalence tests for the LATR sweep indexes.
+"""Equivalence tests for the LATR sweep index.
 
-The inbox sweep over the packed queues (`LatrCoherence._sweep_inbox`) and
-the object-model index (`_sweep_indexed`) must charge the exact modelled
-costs of the original full scan (`_sweep_full`) -- every counter, latency
-and rate bit-for-bit identical -- while doing asymptotically less simulator
-work. The strongest check replays full differential-fuzzer plans with both
-implementations and compares complete ``StatsRegistry.summary()`` dicts.
+The inbox sweep (`LatrCoherence._sweep_inbox`) must charge the exact
+modelled costs of the original full scan (`_sweep_full`) -- every counter,
+latency and rate bit-for-bit identical -- while doing asymptotically less
+simulator work. The strongest check replays full differential-fuzzer plans
+with both implementations and compares complete ``StatsRegistry.summary()``
+dicts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 from repro import build_system
 from repro.coherence.latr import LatrCoherence
-from repro.coherence.states import LatrFlag
+from repro.coherence.states import LatrFlag, SoaLatrState
 from repro.hw.spec import preset
 from repro.hw.topology import Topology
 from repro.mm.addr import PAGE_SIZE, VirtRange
@@ -50,8 +50,7 @@ class TestFuzzPlanEquivalence:
     @pytest.mark.parametrize("seed", [1, 6, 9])
     def test_multi_state_retirements_and_pending_migrations(self, seed, monkeypatch):
         # Several states retire in one sweep, and sweeps drain migrations
-        # whose PTE change is still deferred; both must match the full scan
-        # and the object-model index.
+        # whose PTE change is still deferred; both must match the full scan.
         plan = generate_plan(seed, 120)
         seen = {"multi_retire": 0, "pending_migration": 0}
         drain_inbox = LatrCoherence._drain
@@ -69,13 +68,11 @@ class TestFuzzPlanEquivalence:
         inbox = run_one("latr", plan)
         assert seen["multi_retire"] > 0 and seen["pending_migration"] > 0
         assert inbox.clean, (inbox.violations, inbox.errors)
-        # The full scan, and the object-model index over set bitmasks.
-        for reference in ({"use_sweep_index": False}, {"use_soa_states": False}):
-            other = run_one("latr", plan, latr_kwargs=reference)
-            assert other.clean, (reference, other.violations, other.errors)
-            assert inbox.stats_summary == other.stats_summary, reference
-            assert inbox.snapshot == other.snapshot, reference
-            assert inbox.sim_time_ns == other.sim_time_ns, reference
+        full = run_one("latr", plan, latr_kwargs={"use_sweep_index": False})
+        assert full.clean, (full.violations, full.errors)
+        assert inbox.stats_summary == full.stats_summary
+        assert inbox.snapshot == full.snapshot
+        assert inbox.sim_time_ns == full.sim_time_ns
 
 
 class TestIndexBookkeeping:
@@ -207,14 +204,14 @@ class TestIndexBookkeeping:
         assert results[True] == results[False]
 
 
-    def test_queue_full_fallbacks_match_object_model(self):
-        # Fallback rounds IPI the same cores under either representation:
-        # a depth-2 queue fills with two frees, then a free and a migration
-        # both fall back to synchronous IPIs.
+    def test_queue_full_fallbacks_match_full_scan(self):
+        # Fallback rounds IPI the same cores under either sweep: a depth-2
+        # queue fills with two frees, then a free and a migration both fall
+        # back to synchronous IPIs.
         summaries = []
-        for use_soa_states in (True, False):
+        for use_sweep_index in (True, False):
             system = build_system(
-                "latr", cores=4, queue_depth=2, use_soa_states=use_soa_states
+                "latr", cores=4, queue_depth=2, use_sweep_index=use_sweep_index
             )
             proc, tasks = make_proc(system)
             kernel = system.kernel
@@ -244,7 +241,7 @@ class TestHealthySweepEntryPoint:
         # Tick and context-switch sweeps share ``sweep``: a subclass that
         # overrides it (the skip_sweep_invalidate mutation) owns every sweep.
         healthy = {"n": 0}
-        for name in ("_sweep_inbox", "_sweep_indexed", "_sweep_full"):
+        for name in ("_sweep_inbox", "_sweep_full"):
             impl = getattr(LatrCoherence, name)
 
             def counted(self, core, _impl=impl):
@@ -356,11 +353,10 @@ def _apply_live_mask_op(system, mm, posted, op):
     kind = op[0]
     if kind == "post":
         _, owner, mask = op
-        cores = {c for c in range(8) if mask >> c & 1}
-        state = coherence._state_cls(
+        state = SoaLatrState(
             vrange=VirtRange.from_pages(0x100 + 4 * len(posted), 2),
             mm=mm,
-            cpu_bitmask=mask if coherence.use_soa_states else cores,
+            cpu_bitmask=mask,
             flag=LatrFlag.FREE,
             owner_core=owner,
             posted_at=system.sim.now,
@@ -388,50 +384,44 @@ def _apply_live_mask_op(system, mm, posted, op):
 
 def _read_masks(system, posted):
     """Every slot's cpu mask (None for an empty slot) and every posted
-    state's, as core-id sets; packed slots are read through one
-    ``live_masks`` pass per queue, which per-slot ``live_mask`` agrees
-    with."""
+    state's, as core-id sets; slots are read through one ``live_masks``
+    pass per queue, which per-slot ``live_mask`` agrees with."""
     coherence = system.kernel.coherence
     slots = []
     for queue in coherence._queue_list:
-        if coherence.use_soa_states:
-            masks = coherence.live_masks(queue)
-            assert masks == [coherence.live_mask(queue, i) for i in range(queue.depth)]
-            slots.append([
-                None if state is None else {c for c in range(8) if mask >> c & 1}
-                for state, mask in zip(queue._slots, masks)
-            ])
-        else:
-            slots.append([
-                None if state is None else set(state.cpu_bitmask)
-                for state in queue._slots
-            ])
+        masks = coherence.live_masks(queue)
+        assert masks == [coherence.live_mask(queue, i) for i in range(queue.depth)]
+        slots.append([
+            None if state is None else {c for c in range(8) if mask >> c & 1}
+            for state, mask in zip(queue._slots, masks)
+        ])
     return slots, [set(state.cpu_bitmask) for state in posted]
 
 
 class TestLiveMasks:
-    """The one-pass packed masks (``LatrCoherence.live_masks``, which the
-    model checker's hash and enabled actions read) against the object
-    model's per-state bitmask sets, in lockstep through posts, sweeps
-    (cursor moves), ``clear_cpu`` / ``set_live_mask`` shrinks and
-    deactivations, over narrow (at most 4 of 8 cores) and wide states."""
+    """The inbox sweep's one-pass masks (``LatrCoherence.live_masks``,
+    which the model checker's hash and enabled actions read, derived from
+    the sweep cursors) against the full scan's, which clears each bit as
+    its core sweeps, in lockstep through posts, sweeps, ``clear_cpu`` /
+    ``set_live_mask`` shrinks and deactivations, over narrow (at most 4 of
+    8 cores) and wide states."""
 
     @settings(max_examples=40, deadline=None)
     @given(ops=_LIVE_MASK_OPS)
-    def test_one_pass_masks_match_object_model(self, ops):
+    def test_one_pass_masks_match_full_scan(self, ops):
         legs = []
-        for packed in (True, False):
+        for use_sweep_index in (True, False):
             system = build_system(
-                "latr", cores=8, queue_depth=4, use_soa_states=packed
+                "latr", cores=8, queue_depth=4, use_sweep_index=use_sweep_index
             )
             legs.append((system, system.kernel.create_process("p").mm, []))
         for op in ops:
             accepted = [_apply_live_mask_op(*leg, op) for leg in legs]
             assert accepted[0] == accepted[1], op
-            packed_masks, object_masks = (
+            inbox_masks, full_masks = (
                 _read_masks(system, posted) for system, _mm, posted in legs
             )
-            assert packed_masks == object_masks, op
+            assert inbox_masks == full_masks, op
 
 
 def _old_target_ids(machine, mm, initiator_id, counter):

@@ -85,14 +85,18 @@ class Pte:
         return self.with_flags(add=PteFlags.PRESENT, drop=PteFlags.PROTNONE)
 
 
+# The three flag sets a present 4 KiB PTE can carry, built once: every
+# fault installs one, and IntFlag ``|``/``&~`` per call goes through the
+# enum machinery. A CoW PTE is read-only whatever ``writable`` says.
+_PRESENT_RO = PteFlags.PRESENT | PteFlags.USER | PteFlags.ACCESSED
+_PRESENT_RW = _PRESENT_RO | PteFlags.WRITE
+_PRESENT_COW = _PRESENT_RO | PteFlags.COW
+
+
 def make_present_pte(pfn: int, writable: bool = True, cow: bool = False) -> Pte:
-    flags = PteFlags.PRESENT | PteFlags.USER | PteFlags.ACCESSED
-    if writable:
-        flags |= PteFlags.WRITE
     if cow:
-        flags |= PteFlags.COW
-        flags &= ~PteFlags.WRITE
-    return Pte(pfn=pfn, flags=flags)
+        return Pte(pfn=pfn, flags=_PRESENT_COW)
+    return Pte(pfn=pfn, flags=_PRESENT_RW if writable else _PRESENT_RO)
 
 
 def make_swap_pte(swap_slot: int) -> Pte:

@@ -33,6 +33,10 @@ class Prot(enum.IntFlag):
 
 _vma_ids = itertools.count(1)
 
+#: Plain-int view of ``Prot.WRITE``: ``IntFlag.__and__`` goes through the
+#: enum machinery, and every demand fault tests it (as in ``mm.pte``).
+_PROT_WRITE = int(Prot.WRITE)
+
 
 @dataclass
 class Vma:
@@ -59,6 +63,10 @@ class Vma:
     @property
     def n_pages(self) -> int:
         return self.range.n_pages
+
+    @property
+    def writable(self) -> bool:
+        return bool(int.__and__(self.prot, _PROT_WRITE))
 
     def split_at(self, addr: int) -> "Vma":
         """Shrink self to [start, addr) and return the new [addr, end) VMA."""

@@ -15,6 +15,8 @@ from repro.sim.arrivals import (
     make_arrivals,
 )
 from repro.sim.engine import SEC
+from repro.workloads import apache as apache_module
+from repro.workloads import openloop as openloop_module
 from repro.workloads.apache import run_apache
 from repro.workloads.openloop import run_openloop
 
@@ -112,19 +114,38 @@ class TestOpenLoopWorkload:
         assert a.metrics == b.metrics
         assert a.counters == b.counters
 
-    def test_batched_and_generic_fault_paths_agree(self):
+    def test_batched_and_generic_fault_paths_agree(self, monkeypatch):
         # The batched touch_pages path is a wall-clock optimisation only:
-        # every modelled result must match the per-page generic path, on
-        # anonymous (open-loop) and file-backed (Apache) touches alike.
-        batched = run_openloop("linux", use_batched_faults=True, **SMALL)
-        generic = run_openloop("linux", use_batched_faults=False, **SMALL)
-        assert batched.metrics == generic.metrics
-        assert batched.counters == generic.counters
+        # every modelled result, and every core's TLB hit and miss counts,
+        # must match the per-page generic path, on anonymous (open-loop)
+        # and file-backed (Apache) touches alike.
+        systems = []
+
+        def recording(build):
+            def build_and_record(*args, **kwargs):
+                systems.append(build(*args, **kwargs))
+                return systems[-1]
+
+            return build_and_record
+
+        for module in (openloop_module, apache_module):
+            monkeypatch.setattr(
+                module, "warm_build_system", recording(module.warm_build_system)
+            )
+
+        def leg(run, *args, **kwargs):
+            result = run(*args, **kwargs)
+            tlbs = [core.tlb.stats() for core in systems[-1].machine.cores]
+            return result.metrics, result.counters, tlbs
+
+        assert leg(run_openloop, "linux", use_batched_faults=True, **SMALL) == leg(
+            run_openloop, "linux", use_batched_faults=False, **SMALL
+        )
         apache = dict(cores=2, warmup_ms=2, duration_ms=5)
-        batched = run_apache("latr", {"use_batched_faults": True}, **apache)
-        generic = run_apache("latr", {"use_batched_faults": False}, **apache)
-        assert batched.metrics == generic.metrics
-        assert batched.counters == generic.counters
+        for mechanism in ("linux", "abis", "latr"):
+            batched = leg(run_apache, mechanism, {"use_batched_faults": True}, **apache)
+            generic = leg(run_apache, mechanism, {"use_batched_faults": False}, **apache)
+            assert batched == generic, mechanism
 
     def test_overload_grows_backlog_and_tail(self):
         light = run_openloop("linux", **{**SMALL, "offered_kreq_s": 2.0})

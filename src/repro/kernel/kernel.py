@@ -11,11 +11,13 @@ from typing import Dict, Iterable, List, Optional
 
 from ..coherence.base import TLBCoherence
 from ..hw.machine import Machine
+from ..hw.tlb import TlbEntry
+from ..mm.addr import huge_base_vpn
 from ..mm.frames import FrameAllocator
 from ..mm.mmstruct import MmStruct
 from ..mm.pagecache import PageCache
 from ..mm.pagetable import LEVELS, ReplicatedPageTable
-from ..mm.pte import PteFlags
+from ..mm.pte import Pte, PteFlags
 from ..sim.engine import Simulator
 from ..sim.rng import RngStreams
 from .scheduler import Scheduler
@@ -227,6 +229,37 @@ class Kernel:
             self.note_2d_walks(1, twod)
             extra += twod
         return pte, extra
+
+    def fill_tlb(self, core, mm: MmStruct, vpn: int, pte: Pte, drain: bool) -> int:
+        """Cache the present ``pte`` of ``vpn`` in ``core``'s TLB; returns
+        the ns the fill adds to its hardware walk's charge.
+
+        In this order: the fill (one 2 MiB entry for a huge PTE), the
+        mechanism's fill hook, with ``drain`` the replica fan-out of the
+        fault's PTE writes (a refill writes no PTE and drains nothing),
+        and the EPT fill of a VM task's first access to the frame. The
+        fault install, the refill in ``access`` and the batched touch
+        loop all fill through here and keep only their walk and their
+        ``core.execute``."""
+        pfn = pte.pfn
+        generation = self.frames.generation(pfn)
+        if pte.huge:
+            core.tlb.fill_huge(
+                mm.pcid,
+                huge_base_vpn(vpn),
+                TlbEntry(
+                    pfn=pfn,
+                    writable=pte.writable,
+                    generation=generation,
+                    debug_mm_id=mm.mm_id,
+                ),
+            )
+        else:
+            core.tlb.fill_new(mm.pcid, vpn, pfn, pte.writable, generation, mm.mm_id)
+        extra = self.coherence.on_tlb_fill(core, mm, vpn)
+        if drain:
+            extra += self.drain_replica_work(core, mm)
+        return extra + self.ept_fill(mm, pfn)
 
     def drain_replica_work(self, core, mm: MmStruct) -> int:
         """Hop-aware ns of pending replica fan-out work for ``mm``.

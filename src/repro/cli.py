@@ -43,12 +43,8 @@ OPTION_READERS = {
     "--pages": ("mc",),
     "--budget": ("mc",),
     "--no-diff": ("mc",),
-    "--legacy-latency-stats": (_EXPERIMENT, "bench"),
+    "--legacy-latency-stats": (_EXPERIMENT,),
     "--no-snapshots": (_EXPERIMENT, "fuzz", "mc"),
-    "--quick": ("bench",),
-    "--check-regression": ("bench",),
-    "--threshold": ("bench",),
-    "--bench-dir": ("bench",),
     "--output": (_EXPERIMENT, "fuzz", "mc"),
     "--csv-dir": (_EXPERIMENT,),
 }
@@ -63,7 +59,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "experiment",
         help="experiment id (e.g. fig6, tab5), 'all', 'list', 'fuzz', 'mc', "
-        "'bench', or 'ci'; 'run <id>' is accepted as an alias for '<id>'",
+        "or 'ci'; 'run <id>' is accepted as an alias for '<id>'",
     )
     parser.add_argument(
         "run_target",
@@ -144,27 +140,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "rule snapshots out when debugging)",
     )
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="bench: reduced suite (fig6 + a short sweep-stress) for CI smoke",
-    )
-    parser.add_argument(
-        "--check-regression",
-        action="store_true",
-        help="bench: exit non-zero if wall-clock regresses beyond --threshold",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="bench: regression threshold in percent (default 25)",
-    )
-    parser.add_argument(
-        "--bench-dir",
-        default=None,
-        help="bench: directory for BENCH_*.json files (default benchmarks/results)",
-    )
-    parser.add_argument(
         "-o",
         "--output",
         default=None,
@@ -185,7 +160,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"unexpected extra argument {args.run_target!r}")
 
     command = args.experiment
-    if command not in ("list", "fuzz", "mc", "bench", "ci"):
+    if command not in ("list", "fuzz", "mc", "ci"):
         command = _EXPERIMENT
     for flag, readers in OPTION_READERS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -213,9 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.experiment == "mc":
         return _run_mc_command(args)
-
-    if args.experiment == "bench":
-        return _run_bench_command(args)
 
     if args.experiment == "ci":
         return _run_ci_command(args)
@@ -274,24 +246,6 @@ def _emit(exp_id: str, result, sink, csv_dir: Optional[str]) -> None:
         os.makedirs(csv_dir, exist_ok=True)
         with open(os.path.join(csv_dir, f"{exp_id}.csv"), "w") as csv_file:
             csv_file.write(result.to_csv())
-
-
-def _run_bench_command(args) -> int:
-    """``python -m repro bench [--quick] [--check-regression]``: time the
-    fixed wall-clock suite, write BENCH_<timestamp>.json, compare to the
-    previous one."""
-    from .bench import DEFAULT_BENCH_DIR, DEFAULT_THRESHOLD_PCT, run_bench
-
-    started = time.time()
-    print(f"wall-clock bench ({'quick' if args.quick else 'full'} suite):")
-    _report, code = run_bench(
-        bench_dir=args.bench_dir or DEFAULT_BENCH_DIR,
-        quick=args.quick,
-        check_regression=args.check_regression,
-        threshold_pct=args.threshold if args.threshold is not None else DEFAULT_THRESHOLD_PCT,
-    )
-    print(f"[bench done in {time.time() - started:.1f}s]")
-    return code
 
 
 def _run_fuzz_command(args) -> int:
@@ -365,47 +319,6 @@ def _run_mc_command(args) -> int:
         with open(args.output, "a") as sink:
             sink.write(text + "\n\n")
     return 0 if result.verdict == "ok" else 1
-
-
-def _snapshot_differential() -> int:
-    """Explore one small scope twice -- snapshot backtracking vs honest
-    prefix replay -- and require identical verdict, node count and
-    canonical state set. This is the CI teeth behind the ``--no-snapshots``
-    escape hatch: the two paths must stay byte-identical."""
-    from .verify.mc import McConfig, McScope, run_mc
-
-    def explore(use_snapshots: bool):
-        report = run_mc(
-            McConfig(
-                scope=McScope(cores=3, pages=2, ops=5),
-                differential=False,
-                collect_hashes=True,
-                stop_on_first=False,
-                use_snapshots=use_snapshots,
-            )
-        )
-        hashes = set()
-        nodes = 0
-        for cell in report.cells:
-            hashes |= set(cell.state_hashes)
-            nodes += cell.nodes
-        return report.verdict, nodes, hashes
-
-    snap = explore(True)
-    replay = explore(False)
-    if snap != replay:
-        print(
-            f"snapshot/replay divergence: snapshot=(verdict={snap[0]}, "
-            f"nodes={snap[1]}, states={len(snap[2])}) vs replay="
-            f"(verdict={replay[0]}, nodes={replay[1]}, states={len(replay[2])})",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"snapshot and replay exploration identical: verdict={snap[0]}, "
-        f"{snap[1]} nodes, {len(snap[2])} states"
-    )
-    return 0
 
 
 def _numapte_smoke() -> int:
@@ -535,58 +448,12 @@ def _virt_smoke() -> int:
     return 0
 
 
-def _fleet_smoke() -> int:
-    """Fleet gate: the 960-core spec boots and runs the stress churn at a
-    short scope, on the default seed and the held-out one, and each run's
-    stats summary matches its golden fingerprint
-    (``bench.FLEET_SMOKE_FINGERPRINTS``). The fleet bench *floor* rides in
-    the quick-bench step (fleet-stress-960c under ``--check-regression``);
-    this step is the cheap correctness half."""
-    from .bench import (
-        FLEET_SMOKE_FINGERPRINTS,
-        FLEET_SMOKE_SCOPE,
-        fleet_fingerprint,
-        run_fleet_stress,
-    )
-
-    for seed, expected in FLEET_SMOKE_FINGERPRINTS.items():
-        summary = run_fleet_stress(scope=FLEET_SMOKE_SCOPE, seed=seed)
-        if not summary.get("count.latr.sweeps") or not summary.get("count.latr.states_posted"):
-            print(
-                f"fleet-smoke: 960-core run (seed {seed}) posted no LATR states "
-                "or never swept",
-                file=sys.stderr,
-            )
-            return 1
-        got = fleet_fingerprint(summary)
-        if got != expected:
-            print(
-                f"fleet-smoke: stats summary fingerprint {got} (seed {seed}) "
-                f"differs from the pinned {expected}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"fleet ok (seed {seed}): 960 cores, {int(summary['count.latr.sweeps'])} "
-            f"sweeps, {int(summary['count.latr.states_posted'])} posts; stats "
-            f"fingerprint {got} as pinned"
-        )
-    return 0
-
-
 def _run_ci_command(args) -> int:
-    """``python -m repro ci``: the full local gate -- tier-1 pytest, a
-    small exhaustive mc scope, the snapshot-vs-replay differential, the
-    numaPTE smoke (replication/escape-hatch/mutation-audit gate), the
+    """``python -m repro ci``: the full local gate -- tier-1 pytest, the
+    numaPTE smoke (replication/escape-hatch/mutation-audit gate) and the
     virt smoke (two-level translation: 2D-walk/host-invalidation
     accounting, escape-hatch byte-identity, broken-EPT-shootdown
-    mutation audit), the
-    fleet smoke (960-core boot + golden stats fingerprints), a
-    parallel fast-mode smoke of every experiment, and the quick wall-clock
-    bench (which gates the mc-snapshot speedup/hash equality and the
-    fleet-stress events/s floor) with its regression
-    check against the committed BENCH_*.json baseline (exit 2 if the
-    baseline is missing). Exits non-zero on the first failure.
+    mutation audit). Exits non-zero on the first failure.
 
     Needs a source checkout (it locates ``tests/`` next to ``src/``)."""
     import subprocess
@@ -626,19 +493,8 @@ def _run_ci_command(args) -> int:
 
     steps = [
         ("tier-1 pytest", tier1),
-        (
-            "repro mc --cores 2 --pages 2 --ops 4",
-            lambda: main(["mc", "--cores", "2", "--pages", "2", "--ops", "4"]),
-        ),
-        ("snapshot differential (3c/2p/5ops)", _snapshot_differential),
         ("numapte-smoke", _numapte_smoke),
         ("virt-smoke", _virt_smoke),
-        ("fleet-smoke", _fleet_smoke),
-        ("repro all --fast --jobs 2", lambda: main(["all", "--fast", "--jobs", "2"])),
-        (
-            "repro bench --quick --check-regression",
-            lambda: main(["bench", "--quick", "--check-regression"]),
-        ),
     ]
     for label, runner in steps:
         code = step(label, runner)

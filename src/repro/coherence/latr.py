@@ -128,8 +128,8 @@ class LatrCoherence(TLBCoherence):
         self.sweep_on_context_switch = sweep_on_context_switch
         self.sweep_on_tick = sweep_on_tick
         #: True runs the inbox sweep (see the module doc); False forces the
-        #: original O(cores x queue_depth) full scan. The bench harness and
-        #: the equivalence tests compare both paths.
+        #: original O(cores x queue_depth) full scan. The equivalence tests
+        #: compare both paths.
         self.use_sweep_index = use_sweep_index
         self.queues: Dict[int, SoaLatrQueue] = {}
         #: Extra per-sweep cost for cache-thrashing applications whose state

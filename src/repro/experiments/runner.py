@@ -1,7 +1,7 @@
 """Experiment machinery: result tables, the run-cell model, execution backends.
 
 Each paper table/figure has one module in this package. The CLI
-(``python -m repro <id>``) and the benchmark harness both go through
+(``python -m repro <id>``) and the tests go through
 :func:`run_experiment` / :func:`run_many`.
 
 The cell model

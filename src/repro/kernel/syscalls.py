@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, List, Optional
 
 from ..coherence.base import ShootdownReason
-from ..hw.tlb import entry_pfn, entry_writable
+from ..hw.tlb import entry_writable
 from ..mm.addr import PAGE_SIZE, VirtRange, page_align_up, vpn_of
 from ..mm.fault import FaultResult, SegmentationFault
 from ..mm.pte import Pte, PteFlags
@@ -514,9 +514,11 @@ class Syscalls:
         all the same."""
         yield from self.access(task, core, vaddr, write=True)
         vpn = vpn_of(vaddr)
-        entry = core.tlb.lookup(task.mm.pcid, vpn)
-        if entry is not None and entry_writable(entry):
-            self.kernel.set_page_content(entry_pfn(entry), tag)
+        # The access already counted its lookup; reading the entry again
+        # must not count a second hit or refresh its LRU position.
+        entry = core.tlb.peek(task.mm.pcid, vpn)
+        if entry is not None and entry.writable:
+            self.kernel.set_page_content(entry.pfn, tag)
             return
         pte = task.mm.page_table.walk(vpn)
         if pte is not None and pte.present:

@@ -244,9 +244,9 @@ class Simulator:
     """The event loop: one ``(time, seq)``-ordered heap of callbacks, plus
     process support."""
 
-    #: Events executed across all Simulator instances in this process; the
-    #: benchmark harness snapshots it around a timed run to report events/sec
-    #: even when the run builds several machines internally.
+    #: Events executed across all Simulator instances in this process;
+    #: ``perfbench`` and the experiment runner snapshot it around a run to
+    #: count its events even when the run builds several machines.
     total_events_executed = 0
 
     def __init__(
@@ -270,7 +270,7 @@ class Simulator:
         #: Events executed by this instance (monotonic, never reset).
         self.events_executed = 0
         #: Set to a list to record (time, seq) of every executed event; the
-        #: golden order fingerprint of the engine-stress bench hashes it.
+        #: golden order fingerprint of the engine-stress driver hashes it.
         self.order_log: Optional[List] = None
 
     @property

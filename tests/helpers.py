@@ -31,6 +31,25 @@ def drain(system, ms=5):
     system.sim.run(until=system.sim.now + ms * MSEC)
 
 
+def count_calls(monkeypatch, *methods):
+    """Wrap each ``(cls, name)`` method so every call adds one to
+    ``calls[name]``, and return ``calls``. The simulation is deterministic,
+    so on a fixed run the counts are exact, host-independent work budgets."""
+    calls = {}
+    for cls, name in methods:
+        calls[name] = 0
+        monkeypatch.setattr(cls, name, _counting(getattr(cls, name), name, calls))
+    return calls
+
+
+def _counting(method, name, calls):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return method(*args, **kwargs)
+
+    return counted
+
+
 #: Mutated by :func:`marker_cell`; proves where a cell executed (inline
 #: cells change it in this process, sharded ones only in their worker).
 MARKER_CALLS = []

@@ -13,9 +13,10 @@ import pickle
 import pytest
 
 from repro import build_system
-from repro.bench import FLEET_SMOKE_SCOPE, run_fleet_stress
+from repro.coherence.latr import LatrCoherence
 from repro.hw.tlb import Tlb
 from repro.kernel.kernel import Kernel
+from repro.kernel.syscalls import Syscalls
 from repro.mm.addr import PAGE_SIZE
 from repro.mm.pagetable import PageTable
 from repro.mm.pte import PteFlags, make_present_pte
@@ -23,8 +24,10 @@ from repro.sim.engine import USEC
 from repro.verify.fuzzer import run_one
 from repro.verify.plan import generate_plan
 from repro.workloads.apache import run_apache
+from repro.workloads.openloop import run_openloop
+from repro.workloads.stress import FLEET_SMOKE_SCOPE, run_fleet_stress
 
-from helpers import make_proc, run_to_completion
+from helpers import count_calls, make_proc, run_to_completion
 
 
 class TestOneLookupPerPage:
@@ -189,32 +192,17 @@ class TestPresentPteFlags:
 
 
 class TestTouchWorkBudget:
-    """Exact counts of page-table walks and TLB lookups on fixed runs.
+    """Exact counts of page-table walks, TLB lookups and sweeps on fixed
+    runs.
 
     The simulation is deterministic, so these are host-independent work
-    measures: a redundant walk or lookup on the touch path moves them.
-    When a change removes work on purpose, re-pin them and say why.
+    measures: a redundant walk or lookup on the touch path, or a sweep or
+    range invalidation that leaves its index, moves them. When a change
+    removes work on purpose, re-pin them and say why.
     """
 
-    @staticmethod
-    def _count_calls(monkeypatch):
-        calls = {"walk": 0, "lookup": 0}
-        walk, lookup = PageTable.walk, Tlb.lookup
-
-        def counted_walk(self, vpn):
-            calls["walk"] += 1
-            return walk(self, vpn)
-
-        def counted_lookup(self, pcid, vpn):
-            calls["lookup"] += 1
-            return lookup(self, pcid, vpn)
-
-        monkeypatch.setattr(PageTable, "walk", counted_walk)
-        monkeypatch.setattr(Tlb, "lookup", counted_lookup)
-        return calls
-
     def test_apache_cell(self, monkeypatch):
-        calls = self._count_calls(monkeypatch)
+        calls = count_calls(monkeypatch, (PageTable, "walk"), (Tlb, "lookup"))
         result = run_apache("latr", cores=2, warmup_ms=2, duration_ms=5)
         counters = result.counters
         # 196 requests each touch their 3 file pages once and munmap them.
@@ -225,8 +213,42 @@ class TestTouchWorkBudget:
         assert (counters["sys.munmap"], counters["faults.total"]) == (196, 588)
         assert (calls["lookup"], calls["walk"]) == (588, 1_764)
 
+    def test_openloop_small_scope(self, monkeypatch):
+        calls = count_calls(
+            monkeypatch, (PageTable, "walk"), (Tlb, "lookup"), (Syscalls, "access")
+        )
+        scope = dict(
+            machine="commodity-2s16c",
+            mechanism="linux",
+            offered_kreq_s=20.0,
+            request_work_ns=200_000,
+            request_pages=1,
+            conn_churn_per_sec=0.0,
+            warmup_ms=2,
+            duration_ms=10,
+        )
+        batched = run_openloop(**scope)
+        # 2,070 one-page touches: 1,182 demand faults, each one lookup and
+        # two walks, and 888 TLB hits. munmap walks the page of each of
+        # its 222 calls. 2 x 1,182 + 222 = 2,586 walks, and no touch goes
+        # through access(). The generic path (use_batched_faults=False)
+        # walks 3,768 times and calls access() 2,070 times for the same
+        # modelled result.
+        assert batched.counters["faults.minor-anon"] == 1_182
+        assert calls == {"walk": 2_586, "lookup": 2_070, "access": 0}
+        generic = run_openloop(use_batched_faults=False, **scope)
+        assert (generic.metrics, generic.counters) == (batched.metrics, batched.counters)
+
     def test_fleet_smoke(self, monkeypatch):
-        calls = self._count_calls(monkeypatch)
+        calls = count_calls(
+            monkeypatch,
+            (PageTable, "walk"),
+            (Tlb, "lookup"),
+            (Tlb, "_invalidate_range_scan"),
+            (LatrCoherence, "_sweep_inbox"),
+            (LatrCoherence, "_sweep_full"),
+            (LatrCoherence, "_take_inbox"),
+        )
         summary = run_fleet_stress(scope=FLEET_SMOKE_SCOPE, seed=1)
         # 40 mmaps of 4 pages: 160 local write faults, each one lookup and
         # two walks. The remote read touches are 447 refills, each one
@@ -236,3 +258,11 @@ class TestTouchWorkBudget:
         # 160 + 447 = 607 lookups; 2 x 160 + 2 x 447 + 4 x 36 = 1,358 walks.
         assert summary["count.faults.minor-anon"] == 160
         assert (calls["lookup"], calls["walk"]) == (607, 1_358)
+        # Every sweep takes the inbox path; the 1,574 that find an active
+        # state take their inbox once. Range invalidations use the TLB's
+        # per-PCID index, never the linear scan.
+        assert summary["count.latr.sweeps"] == 1_921
+        assert (
+            calls["_sweep_inbox"], calls["_sweep_full"], calls["_take_inbox"]
+        ) == (1_921, 0, 1_574)
+        assert calls["_invalidate_range_scan"] == 0

@@ -67,21 +67,21 @@ class TestUnreadFlags:
         "argv, line",
         [
             (
-                ["tab1", "--cores", "4", "--quick", "--budget", "5", "--threshold", "3"],
+                ["tab1", "--cores", "4", "--budget", "5"],
                 "error: --cores applies only to: mc",
             ),
             (
-                ["mc", "--cores", "2", "--pages", "1", "--ops", "2", "--quick",
-                 "--seed", "9"],
+                ["mc", "--cores", "2", "--pages", "1", "--ops", "2", "--seed", "9"],
                 "error: --seed applies only to: fuzz",
             ),
             (["fuzz", "--jobs", "1"], "error: --jobs applies only to: <experiment>, mc"),
-            (["tab1", "--threshold", "0"], "error: --threshold applies only to: bench"),
+            (["fuzz", "--legacy-latency-stats"],
+             "error: --legacy-latency-stats applies only to: <experiment>"),
             (["mc", "--fast"], "error: --fast applies only to: <experiment>, fuzz"),
-            (["bench", "--no-snapshots"],
+            (["list", "--no-snapshots"],
              "error: --no-snapshots applies only to: <experiment>, fuzz, mc"),
             (["list", "--seed", "0"], "error: --seed applies only to: fuzz"),
-            (["ci", "--quick"], "error: --quick applies only to: bench"),
+            (["ci", "--fast"], "error: --fast applies only to: <experiment>, fuzz"),
         ],
     )
     def test_exits_2_with_one_line(self, argv, line, capsys):
@@ -89,6 +89,20 @@ class TestUnreadFlags:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [line]
         assert captured.out == ""
+
+    def test_retired_bench_command_is_an_unknown_experiment(self, capsys):
+        assert main(["bench"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("unknown experiment 'bench'; available: ")
+        assert captured.out == ""
+
+    def test_retired_bench_option_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ci", "--quick"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
     def test_rejected_csv_dir_is_not_created(self, tmp_path, capsys):
         target = tmp_path / "X"

@@ -12,28 +12,28 @@ executed ``(time, seq)`` order on the engine-stress churn, the end state
 of three fuzz plans, the model checker's canonical state-hash sets (a
 healthy exhaustive run and three mutation audits, with their search
 counts), the 960-core fleet smoke's stats summaries (pinned in
-``repro.bench.FLEET_SMOKE_FINGERPRINTS``, which ``repro ci`` checks too),
-and every experiment's ``--fast`` rendered table. Each value is the same
-under ``PYTHONHASHSEED`` 0 and 1. A change that moves any of them must
-update the value and name the cause in CHANGES.md.
+``repro.workloads.stress.FLEET_SMOKE_FINGERPRINTS``), and every
+experiment's ``--fast`` rendered table. Each value is the same under
+``PYTHONHASHSEED`` 0 and 1. A change that moves any of them must update
+the value and name the cause in CHANGES.md.
 """
 
 import hashlib
 
 import pytest
 
-from repro.bench import (
+from repro.experiments import available_experiments, run_experiment
+from repro.experiments.runner import run_many
+from repro.verify.fuzzer import run_one
+from repro.verify.mc import McConfig, McScope, run_mc
+from repro.verify.plan import generate_plan
+from repro.workloads.stress import (
     FLEET_SMOKE_FINGERPRINTS,
     FLEET_SMOKE_SCOPE,
     fleet_fingerprint,
     run_engine_stress,
     run_fleet_stress,
 )
-from repro.experiments import available_experiments, run_experiment
-from repro.experiments.runner import run_many
-from repro.verify.fuzzer import run_one
-from repro.verify.mc import McConfig, McScope, run_mc
-from repro.verify.plan import generate_plan
 
 
 def _fingerprint(value) -> str:
@@ -65,6 +65,8 @@ def test_fuzz_plan_fingerprint(seed, expected):
 @pytest.mark.parametrize("seed", sorted(FLEET_SMOKE_FINGERPRINTS))
 def test_fleet_smoke_fingerprint(seed):
     summary = run_fleet_stress(scope=FLEET_SMOKE_SCOPE, seed=seed)
+    # A run that posted no LATR state or never swept pins nothing useful.
+    assert summary.get("count.latr.sweeps") and summary.get("count.latr.states_posted")
     assert fleet_fingerprint(summary) == FLEET_SMOKE_FINGERPRINTS[seed]
 
 

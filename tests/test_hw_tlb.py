@@ -11,6 +11,7 @@ from repro.hw.tlb import HUGE_SPAN, NO_PCID, Tlb, TlbEntry, entry_pfn
 from repro.mm.addr import PAGE_SIZE
 from repro.verify.fuzzer import run_one
 from repro.verify.plan import generate_plan
+from repro.workloads.stress import run_invalidate_stress
 
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -193,6 +194,14 @@ class TestIndexedVsScan:
         assert results[0] == results[1]
         overlaps = base < start + width and base + HUGE_SPAN > start
         assert results[0][0] == (1 if overlaps else 0)
+
+    def test_invalidate_stress_matches_scan(self):
+        # 1,500 ops of fills across 24 PCIDs, wide range invalidations and
+        # per-PCID flushes on a 4,096-entry TLB: same drops, residents (in
+        # order) and counters with the index on and off.
+        indexed = run_invalidate_stress(1_500, use_index=True)
+        assert indexed == run_invalidate_stress(1_500, use_index=False)
+        assert indexed["drops"] > 0 and indexed["entries"]
 
 
 class TestIndexEndToEnd:

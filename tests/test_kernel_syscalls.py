@@ -292,6 +292,28 @@ class TestTlbInteraction:
 
         run_to_completion(system, body())
 
+    def test_tagged_write_looks_up_once(self):
+        # The tag goes on the frame the write's own lookup found; finding
+        # it again must not count a second TLB hit.
+        system = build_system("latr", cores=1)
+        kernel = system.kernel
+        proc, tasks = make_proc(system)
+        c0 = kernel.machine.core(0)
+
+        def body():
+            t0 = tasks[0]
+            vrange = yield from kernel.syscalls.mmap(t0, c0, PAGE_SIZE)
+            yield from kernel.syscalls.access(t0, c0, vrange.start, write=True)
+            before = c0.tlb.stats()
+            yield from kernel.syscalls.write_with_content(t0, c0, vrange.start, tag="x")
+            return vrange, before
+
+        vrange, before = run_to_completion(system, body())
+        after = c0.tlb.stats()
+        assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 0)
+        pfn = proc.mm.page_table.walk(vrange.vpn_start).pfn
+        assert kernel.page_contents[pfn] == "x"
+
     def test_tlb_capacity_pressure_evicts(self):
         system = build_system("latr", cores=1)
         kernel = system.kernel

@@ -2,7 +2,7 @@
 
 The open-loop runs here use the small commodity box with a handful of
 cores -- the 120-core fleet configuration belongs to the ``slo``
-experiment and the bench suite, not to tier-1.
+experiment, not to tier-1.
 """
 
 import random

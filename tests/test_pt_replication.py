@@ -12,7 +12,9 @@ Covers the replica-coherence policy layer end to end:
   fuzzer leg; the model-checker leg lives in test_mc's mutation audit),
 * walk-placement accounting: replication eliminates remote hardware walks
   for numaPTE while single-table mechanisms with hop-aware charging pay
-  for them.
+  for them,
+* a work budget: exact walk, materialization and mirror counts on the
+  sweep-stress driver.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import pickle
 
 import hypothesis.strategies as st
 import pytest
-from helpers import make_proc, run_to_completion
+from helpers import count_calls, make_proc, run_to_completion
 from hypothesis import HealthCheck, given, settings
 
 from repro import build_system
@@ -31,6 +33,7 @@ from repro.mm.pagetable import PageTable, ReplicatedPageTable
 from repro.mm.pte import make_huge_pte, make_present_pte
 from repro.snapshot import restore_kernel, snapshot_kernel
 from repro.verify import generate_plan, run_one
+from repro.workloads.stress import run_sweep_stress
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +323,41 @@ class TestWalkPlacement:
         assert res.clean
         assert res.stats_summary.get("count.pt.walk.remote", 0) == 0
         assert res.stats_summary.get("count.pt.walk.local", 0) > 0
+
+
+# ---------------------------------------------------------------------------
+# Work budget
+# ---------------------------------------------------------------------------
+
+
+class TestReplicationWorkBudget:
+    def test_sweep_stress_on_the_120_core_box(self, monkeypatch):
+        """Exact replication work on 4 simulated ms of the sweep-stress
+        driver: 4 reps of mmap / write touch of 4 pages on core 0 / 4
+        remote read touches / munmap. The facade adds no walk over the
+        single table and materializes each of the 4 remote nodes that
+        walk once. Of its 32 mirrored mutations, the first rep's 4
+        installs find no replica yet; the other 12 installs and all 16
+        clears fan out, 96 replica updates in all."""
+        calls = count_calls(
+            monkeypatch,
+            (PageTable, "walk"),
+            (ReplicatedPageTable, "_materialize"),
+            (ReplicatedPageTable, "_mirror"),
+            (ReplicatedPageTable, "_mirror_set"),
+            (ReplicatedPageTable, "_mirror_clear"),
+        )
+        run_sweep_stress(4, mechanism="numapte", use_pt_replication=False)
+        single_table = dict(calls)
+        summary = run_sweep_stress(4, mechanism="numapte")
+        replicated = {name: calls[name] - single_table[name] for name in calls}
+        assert single_table == {
+            "walk": 176, "_materialize": 0, "_mirror": 0, "_mirror_set": 0,
+            "_mirror_clear": 0,
+        }
+        assert replicated == {
+            "walk": 176, "_materialize": 4, "_mirror": 32, "_mirror_set": 12,
+            "_mirror_clear": 16,
+        }
+        assert summary["count.pt.replica.updates"] == 96
+        assert "count.pt.walk.remote" not in summary

@@ -99,5 +99,6 @@ def test_mc_snapshot_explorer_reduction_soundness():
     assert snap_hashes == replay_hashes
     # The legs must actually be different mechanisms: the snapshot leg
     # backtracks via restore() only, the replay leg via prefix replay only.
-    assert restores > 0 and replays == 0
+    # The restore count is exact: one replay in its place moves it.
+    assert (restores, replays) == (1_405, 0)
     assert cold_replays > 0

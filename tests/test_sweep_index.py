@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 import pytest
-from helpers import drain, make_proc, run_to_completion
+from helpers import count_calls, drain, make_proc, run_to_completion
 from hypothesis import given, settings
 
 from repro import build_system
@@ -27,6 +27,7 @@ from repro.snapshot import restore_kernel, snapshot_kernel
 from repro.verify.fuzzer import run_one
 from repro.verify.mc.executor import McExecutor, McScope
 from repro.verify.plan import generate_plan
+from repro.workloads.stress import fleet_fingerprint, run_sweep_stress
 
 
 class TestFuzzPlanEquivalence:
@@ -240,21 +241,35 @@ class TestHealthySweepEntryPoint:
     def test_mutated_run_runs_no_healthy_sweep(self, monkeypatch):
         # Tick and context-switch sweeps share ``sweep``: a subclass that
         # overrides it (the skip_sweep_invalidate mutation) owns every sweep.
-        healthy = {"n": 0}
-        for name in ("_sweep_inbox", "_sweep_full"):
-            impl = getattr(LatrCoherence, name)
-
-            def counted(self, core, _impl=impl):
-                healthy["n"] += 1
-                return _impl(self, core)
-
-            monkeypatch.setattr(LatrCoherence, name, counted)
+        calls = count_calls(
+            monkeypatch, (LatrCoherence, "_sweep_inbox"), (LatrCoherence, "_sweep_full")
+        )
         plan = generate_plan(1, 60)
         result = run_one("latr", plan, mutate="skip_sweep_invalidate")
         assert result.stats_summary["count.latr.sweeps"] > 0
-        assert healthy["n"] == 0
+        assert sum(calls.values()) == 0
         run_one("latr", plan)
-        assert healthy["n"] > 0
+        assert sum(calls.values()) > 0
+
+
+class TestSweepStress:
+    """The sweep-stress driver on a 16-core machine, 4 simulated ms."""
+
+    def test_indexed_and_full_scan_agree_on_small_machine(self, monkeypatch):
+        calls = count_calls(
+            monkeypatch, (LatrCoherence, "_sweep_inbox"), (LatrCoherence, "_sweep_full")
+        )
+        indexed = run_sweep_stress(4, machine="commodity-2s16c")
+        # Work budget: by default every one of the 65 sweeps takes the
+        # inbox path.
+        assert indexed["count.latr.sweeps"] == 65
+        assert calls == {"_sweep_inbox": 65, "_sweep_full": 0}
+        full = run_sweep_stress(4, machine="commodity-2s16c", use_sweep_index=False)
+        assert indexed == full
+        assert indexed["count.shootdown.initiated"] > 0
+        # Golden: a change that moves the driver's modelled output (its
+        # op sequence, or the names it gives processes and tasks) shows.
+        assert fleet_fingerprint(indexed) == "a54ac66b8d62cd3b"
 
 
 def _inbox_bookkeeping(coherence):

@@ -70,9 +70,7 @@ def build_system(
     pcid: bool = False,
     seed: int = 1,
     frames_per_node: Optional[int] = None,
-    use_tlb_index: Optional[bool] = None,
     gate_latencies: Optional[bool] = None,
-    use_batched_faults: Optional[bool] = None,
     use_pt_replication: Optional[bool] = None,
     use_virtualization: Optional[bool] = None,
     **mechanism_kwargs,
@@ -86,14 +84,9 @@ def build_system(
         pcid: enable PCID-tagged TLBs (paper section 4.5).
         seed: deterministic RNG seed for workloads.
         frames_per_node: physical memory size override (frames).
-        use_tlb_index: TLB escape hatch -- False keeps the linear-scan
-            invalidation paths (default on).
         gate_latencies: stats escape hatch -- False keeps the historical
             record-from-t=0 latency recorders instead of gating them on
             the measurement window (default gated).
-        use_batched_faults: syscall escape hatch -- False routes
-            ``touch_pages`` through the per-page generic access path
-            instead of the batched fault handler (default batched).
         use_pt_replication: NUMA page-table placement modelling
             (numaPTE) -- None asks the mechanism (only "numapte" wants
             it); True charges hop-aware walk latency (and, under the
@@ -117,14 +110,11 @@ def build_system(
         sim,
         spec,
         pcid_enabled=pcid,
-        use_tlb_index=use_tlb_index,
         gate_latencies=gate_latencies,
     )
     kwargs = {}
     if frames_per_node is not None:
         kwargs["frames_per_node"] = frames_per_node
-    if use_batched_faults is not None:
-        kwargs["use_batched_faults"] = use_batched_faults
     if use_pt_replication is not None:
         kwargs["use_pt_replication"] = use_pt_replication
     if use_virtualization is not None:

@@ -321,188 +321,39 @@ def _run_mc_command(args) -> int:
     return 0 if result.verdict == "ok" else 1
 
 
-def _numapte_smoke() -> int:
-    """numaPTE gate: replication eliminates remote hardware walks and
-    actually fans out updates; the ``use_pt_replication`` escape hatch
-    degenerates to the Linux baseline byte-identically; and the
-    broken-replica mutation is caught by both the continuous invariant
-    monitor (fuzz leg) and the model checker's mutation audit."""
-    from .verify import generate_plan, mutation_spec, run_one
-    from .verify.mc import McConfig, McScope, run_mc
-
-    plan = generate_plan(1, 60)
-    on = run_one("numapte", plan)
-    if not on.clean:
-        print("numapte-smoke: replicated run had findings", file=sys.stderr)
-        return 1
-    summary = on.stats_summary
-    if summary.get("count.pt.walk.remote", 0):
-        print("numapte-smoke: remote hardware walks survived replication", file=sys.stderr)
-        return 1
-    if not summary.get("count.pt.replica.updates", 0):
-        print("numapte-smoke: no replica fan-out happened", file=sys.stderr)
-        return 1
-    off = run_one("numapte", plan, use_pt_replication=False)
-    base = run_one("linux", plan)
-    if off.stats_summary != base.stats_summary or off.snapshot != base.snapshot:
-        print(
-            "numapte-smoke: use_pt_replication=False is not byte-identical "
-            "to the single-table baseline",
-            file=sys.stderr,
-        )
-        return 1
-    mutation = mutation_spec("broken_replica")
-    bad = run_one("latr", plan, mutate=mutation.name)
-    if not any(v.check == "replica_coherence" for v in bad.violations):
-        print("numapte-smoke: monitor missed the broken_replica mutation", file=sys.stderr)
-        return 1
-    audit = run_mc(
-        McConfig(scope=McScope(cores=2, pages=2, ops=5, mutate=mutation.name))
-    )
-    if audit.verdict != "violation":
-        print(
-            f"numapte-smoke: mc audit missed broken_replica "
-            f"(verdict {audit.verdict})",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"numapte ok: {int(summary['count.pt.walk.local'])} local walks, "
-        f"0 remote, {int(summary['count.pt.replica.updates'])} replica "
-        f"updates; escape hatch byte-identical; broken_replica caught by "
-        f"monitor and mc"
-    )
-    return 0
-
-
-def _virt_smoke() -> int:
-    """Two-level translation gate: a virtualized run actually pays 2D
-    walks and host-level (EPT) invalidations and stays invariant-clean
-    (HATRIC included); the ``use_virtualization`` escape hatch is
-    byte-identical to the flat baseline; and the broken-EPT-shootdown
-    mutation is caught by both the continuous invariant monitor (fuzz
-    leg) and the model checker's mutation audit."""
-    from .verify import generate_plan, mutation_spec, run_one
-    from .verify.mc import McConfig, McScope, run_mc
-
-    plan = generate_plan(1, 60)
-    on = run_one("linux", plan, use_virtualization=True)
-    if not on.clean:
-        print("virt-smoke: virtualized run had findings", file=sys.stderr)
-        return 1
-    summary = on.stats_summary
-    if not summary.get("count.virt.walk.2d", 0) or not summary.get(
-        "count.virt.host_inval.entries", 0
-    ):
-        print(
-            "virt-smoke: virtualized run paid no 2D walks or no host "
-            "invalidations",
-            file=sys.stderr,
-        )
-        return 1
-    hat = run_one("hatric", plan, use_virtualization=True)
-    if not hat.clean:
-        print("virt-smoke: virtualized hatric run had findings", file=sys.stderr)
-        return 1
-    if not hat.stats_summary.get("count.virt.host_inval.entries", 0):
-        print("virt-smoke: hatric snooped no host invalidations", file=sys.stderr)
-        return 1
-    off = run_one("linux", plan, use_virtualization=False)
-    base = run_one("linux", plan)
-    if off.stats_summary != base.stats_summary or off.snapshot != base.snapshot:
-        print(
-            "virt-smoke: use_virtualization=False is not byte-identical "
-            "to the flat baseline",
-            file=sys.stderr,
-        )
-        return 1
-    if any(k.startswith("count.virt.") for k in off.stats_summary):
-        print(
-            "virt-smoke: flat run carries virt.* counters", file=sys.stderr
-        )
-        return 1
-    mutation = mutation_spec("broken_ept_shootdown")
-    bad = run_one("latr", plan, mutate=mutation.name)
-    if not any(v.check == "ept_coherence" for v in bad.violations):
-        print(
-            "virt-smoke: monitor missed the broken_ept_shootdown mutation",
-            file=sys.stderr,
-        )
-        return 1
-    audit = run_mc(
-        McConfig(scope=McScope(cores=2, pages=2, ops=5, mutate=mutation.name))
-    )
-    if audit.verdict != "violation":
-        print(
-            f"virt-smoke: mc audit missed broken_ept_shootdown "
-            f"(verdict {audit.verdict})",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"virt ok: {int(summary['count.virt.walk.2d'])} 2D walks, "
-        f"{int(summary['count.virt.host_inval.entries'])} host invalidations, "
-        f"hatric clean; escape hatch byte-identical; broken_ept_shootdown "
-        f"caught by monitor and mc"
-    )
-    return 0
-
-
 def _run_ci_command(args) -> int:
-    """``python -m repro ci``: the full local gate -- tier-1 pytest, the
-    numaPTE smoke (replication/escape-hatch/mutation-audit gate) and the
-    virt smoke (two-level translation: 2D-walk/host-invalidation
-    accounting, escape-hatch byte-identity, broken-EPT-shootdown
-    mutation audit). Exits non-zero on the first failure.
+    """``python -m repro ci``: the local gate, the tier-1 pytest suite (with
+    the coverage floor wherever pytest-cov is installed). Returns pytest's
+    exit status.
 
     Needs a source checkout (it locates ``tests/`` next to ``src/``)."""
+    import importlib.util
     import subprocess
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     repo_root = os.path.dirname(src_dir)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    # pyproject's addopts already pass -q; a second -q would drop the
+    # "N passed in T s" line. --durations lists the slowest tests in every
+    # CI log: the input a tier-1 wall-time budget is set from.
+    argv = [sys.executable, "-m", "pytest", "-x", "--durations=15"]
+    if importlib.util.find_spec("pytest_cov") is not None:
+        # Coverage gate rides along wherever the dev extras are installed;
+        # environments without pytest-cov still run the plain suite.
+        argv += [
+            "--cov=repro",
+            "--cov-report=term",
+            f"--cov-fail-under={COVERAGE_FLOOR}",
+        ]
     started = time.time()
-
-    def step(label: str, runner) -> int:
-        step_start = time.time()
-        print(f"ci: {label} ...", flush=True)
-        code = runner()
-        status = "ok" if code == 0 else f"FAILED (exit {code})"
-        print(f"ci: {label}: {status} [{time.time() - step_start:.1f}s]", flush=True)
-        return code
-
-    def tier1() -> int:
-        import importlib.util
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        # --durations lists the slowest tests in every CI log: the input a
-        # tier-1 wall-time budget is set from.
-        argv = [sys.executable, "-m", "pytest", "-x", "-q", "--durations=15"]
-        if importlib.util.find_spec("pytest_cov") is not None:
-            # Coverage gate rides along wherever the dev extras are
-            # installed; environments without pytest-cov still run the
-            # plain suite.
-            argv += [
-                "--cov=repro",
-                "--cov-report=term",
-                f"--cov-fail-under={COVERAGE_FLOOR}",
-            ]
-        return subprocess.call(argv, cwd=repo_root, env=env)
-
-    steps = [
-        ("tier-1 pytest", tier1),
-        ("numapte-smoke", _numapte_smoke),
-        ("virt-smoke", _virt_smoke),
-    ]
-    for label, runner in steps:
-        code = step(label, runner)
-        if code != 0:
-            print(f"ci: FAILED at '{label}' [{time.time() - started:.1f}s total]")
-            return code
-    print(f"ci: all gates passed [{time.time() - started:.1f}s total]")
-    return 0
+    print("ci: tier-1 pytest ...", flush=True)
+    code = subprocess.call(argv, cwd=repo_root, env=env)
+    status = "ok" if code == 0 else f"FAILED (exit {code})"
+    print(f"ci: tier-1 pytest: {status} [{time.time() - started:.1f}s]", flush=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -98,10 +98,9 @@ def fuzz_mutation(fast: bool = False) -> ExperimentResult:
         rows=rows,
         paper_expectation=(
             "every broken variant (eager reclaim without the bitmask guard; "
-            "sweep that skips the TLB invalidation; desynced TLB index; "
-            "stale sweep cache; broken replica; skipped EPT shootdown) is "
-            "flagged by the invariant monitor, the progress guards, or the "
-            "differential"
+            "sweep that skips the TLB invalidation; stale sweep cache; "
+            "broken replica; skipped EPT shootdown) is flagged by the "
+            "invariant monitor, the progress guards, or the differential"
         ),
         notes="MISSED: " + ", ".join(missed) if missed else "all mutations detected",
     )

@@ -25,7 +25,6 @@ class Machine:
         latency: Optional[LatencyModel] = None,
         stats: Optional[StatsRegistry] = None,
         pcid_enabled: bool = False,
-        use_tlb_index: Optional[bool] = None,
         gate_latencies: Optional[bool] = None,
     ):
         self.sim = sim
@@ -42,11 +41,7 @@ class Machine:
                 core_id=c,
                 socket=spec.socket_of(c),
                 sim=sim,
-                tlb=Tlb(
-                    spec.l1_dtlb_entries,
-                    pcid_enabled=pcid_enabled,
-                    use_index=use_tlb_index,
-                ),
+                tlb=Tlb(spec.l1_dtlb_entries, pcid_enabled=pcid_enabled),
                 lazy_cores=self.lazy_cores,
             )
             for c in range(spec.total_cores)

@@ -11,13 +11,14 @@ PCIDs a context switch flushes everything; with PCIDs entries of inactive
 processes survive switches and must still be swept by LATR before the PCID
 is reused.
 
-``invalidate_range``, ``flush(pcid)`` and ``cached_vpns`` are O(victims)
-rather than O(resident): a per-pcid secondary index (pcid -> vpn set,
-maintained on fill/evict/invalidate) names exactly the entries a victim
-pcid owns, so range shootdowns never scan the other processes' entries.
-``Tlb(..., use_index=False)`` keeps the original linear scans selectable --
-the differential tests prove both paths drop the same entries and report
-the same stats.
+Invalidation needs no secondary structure. Keys are
+``pcid << KEY_PCID_SHIFT | vpn``, so one pcid's vpns in ``[start, end)``
+are exactly the keys in ``[base + start, base + end)`` with
+``base = pcid << KEY_PCID_SHIFT``. ``invalidate_range`` probes those keys
+when the range is no wider than the resident count and otherwise makes
+one comparison pass over the resident keys; huge entries and
+``flush(pcid)`` are one pass each. The TLB holds 64 entries (Table 3),
+so either way a drop costs at most a few dozen int comparisons.
 
 Packed slots
 ------------
@@ -40,13 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: PCID used for every process when PCID support is off.
 NO_PCID = 0
-
-#: Default for ``Tlb(use_index=...)`` when left unspecified.
-DEFAULT_USE_TLB_INDEX = True
 
 #: Process-global version numbers for TLB change tracking. Values are
 #: never reused, so equal versions imply identical state: a version is
@@ -78,6 +76,9 @@ HUGE_SPAN = 512
 #: the whole modelled virtual address space with room to spare.
 KEY_PCID_SHIFT = 48
 KEY_VPN_MASK = (1 << KEY_PCID_SHIFT) - 1
+#: One past the largest vpn a key can hold; range ends are clamped to it
+#: so a range never reaches into the next pcid's keys.
+KEY_VPN_END = 1 << KEY_PCID_SHIFT
 
 #: Packed-entry layout (low to high): writable bit, 32 generation bits,
 #: 20 debug-mm-id bits, then the pfn. Fields are sized so the whole slot
@@ -127,23 +128,17 @@ class Tlb:
         capacity: int,
         pcid_enabled: bool = False,
         huge_capacity: int = 32,
-        use_index: Optional[bool] = None,
     ):
         if capacity < 1:
             raise ValueError("TLB capacity must be positive")
         self.capacity = capacity
         self.huge_capacity = huge_capacity
         self.pcid_enabled = pcid_enabled
-        self.use_index = DEFAULT_USE_TLB_INDEX if use_index is None else bool(use_index)
         # Plain dicts are insertion-ordered: LRU refresh is del+reinsert and
         # the LRU victim is next(iter(...)).
         self._entries: Dict[int, int] = {}
         #: 2 MiB entries keyed by (pcid, base_vpn), packed the same way.
         self._huge_entries: Dict[int, int] = {}
-        #: Secondary index: effective pcid -> vpns resident in _entries.
-        self._index: Dict[int, Set[int]] = {}
-        #: Same for the huge array (base vpns).
-        self._huge_index: Dict[int, Set[int]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -152,7 +147,7 @@ class Tlb:
         #: Bumped on *any* observable change (incl. LRU order and the
         #: hit/miss counters): snapshot/restore skip work when equal.
         self._state_version = next(_VERSIONS)
-        #: Bumped only when the resident entry set (or index) changes:
+        #: Bumped only when the resident entry set changes:
         #: keys the model checker's canonical-fragment cache.
         self._entries_version = next(_VERSIONS)
 
@@ -170,23 +165,6 @@ class Tlb:
     @staticmethod
     def _split_key(key: int) -> Tuple[int, int]:
         return key >> KEY_PCID_SHIFT, key & KEY_VPN_MASK
-
-    # ---- index maintenance -----------------------------------------------------
-
-    def _index_add(self, index: Dict[int, Set[int]], key: int) -> None:
-        pcid, vpn = self._split_key(key)
-        vpns = index.get(pcid)
-        if vpns is None:
-            vpns = index[pcid] = set()
-        vpns.add(vpn)
-
-    def _index_drop(self, index: Dict[int, Set[int]], key: int) -> None:
-        pcid, vpn = self._split_key(key)
-        vpns = index.get(pcid)
-        if vpns is not None:
-            vpns.discard(vpn)
-            if not vpns:
-                del index[pcid]
 
     # ---- lookups and fills -----------------------------------------------------
 
@@ -260,17 +238,9 @@ class Tlb:
         if key in entries:
             del entries[key]
         entries[key] = slot
-        if self.use_index:
-            vpns = self._index.get(eff)
-            if vpns is None:
-                vpns = self._index[eff] = set()
-            vpns.add(vpn)
         capacity = self.capacity
         while len(entries) > capacity:
-            evicted = next(iter(entries))
-            del entries[evicted]
-            if self.use_index:
-                self._index_drop(self._index, evicted)
+            del entries[next(iter(entries))]
             self.evictions += 1
 
     def fill_huge(self, pcid: int, base_vpn: int, entry: TlbEntry) -> None:
@@ -286,13 +256,8 @@ class Tlb:
         huge[key] = encode_entry(
             entry.pfn, entry.writable, entry.generation, entry.debug_mm_id
         )
-        if self.use_index:
-            self._index_add(self._huge_index, key)
         while len(huge) > self.huge_capacity:
-            evicted = next(iter(huge))
-            del huge[evicted]
-            if self.use_index:
-                self._index_drop(self._huge_index, evicted)
+            del huge[next(iter(huge))]
             self.evictions += 1
 
     # ---- invalidation ----------------------------------------------------------
@@ -303,8 +268,6 @@ class Tlb:
         key = self._key(pcid, vpn)
         if key in self._entries:
             del self._entries[key]
-            if self.use_index:
-                self._index_drop(self._index, key)
             self.invalidations += 1
             self._state_version = next(_VERSIONS)
             self._entries_version = next(_VERSIONS)
@@ -312,8 +275,6 @@ class Tlb:
         hkey = self._huge_key(pcid, vpn)
         if hkey in self._huge_entries:
             del self._huge_entries[hkey]
-            if self.use_index:
-                self._index_drop(self._huge_index, hkey)
             self.invalidations += 1
             self._state_version = next(_VERSIONS)
             self._entries_version = next(_VERSIONS)
@@ -323,68 +284,34 @@ class Tlb:
     def invalidate_range(self, pcid: int, vpn_start: int, vpn_end: int) -> int:
         """Drop all translations overlapping [vpn_start, vpn_end).
 
-        The indexed body lives inline here (not behind a second method
-        call): LATR sweeps call this once per matching state per core."""
-        eff_pcid = pcid if self.pcid_enabled else NO_PCID
-        if not self.use_index:
-            dropped = self._invalidate_range_scan(eff_pcid, vpn_start, vpn_end)
-            self.invalidations += dropped
-            return dropped
-        key_base = eff_pcid << KEY_PCID_SHIFT
-        dropped = 0
-        vpns = self._index.get(eff_pcid)
-        if vpns:
-            if vpn_end - vpn_start <= len(vpns):
-                victims = [v for v in range(vpn_start, vpn_end) if v in vpns]
-            else:
-                victims = [v for v in vpns if vpn_start <= v < vpn_end]
-            entries = self._entries
-            for vpn in victims:
-                del entries[key_base | vpn]
-                vpns.discard(vpn)
-            if not vpns:
-                del self._index[eff_pcid]
+        The pcid's keys in the range are ``[base + vpn_start, base +
+        vpn_end)``: a range no wider than the resident count probes them,
+        a wider one is one comparison pass over the resident keys. A huge
+        entry overlaps iff its base vpn is in ``[vpn_start - 511,
+        vpn_end)``, one pass over the huge array."""
+        base = (pcid if self.pcid_enabled else NO_PCID) << KEY_PCID_SHIFT
+        lo = base + vpn_start
+        hi = base + (vpn_end if vpn_end < KEY_VPN_END else KEY_VPN_END)
+        entries = self._entries
+        if hi - lo <= len(entries):
+            victims = [key for key in range(lo, hi) if key in entries]
+        else:
+            victims = [key for key in entries if lo <= key < hi]
+        for key in victims:
+            del entries[key]
+        dropped = len(victims)
+        huge = self._huge_entries
+        if huge:
+            lo = base + max(0, vpn_start - (HUGE_SPAN - 1))
+            victims = [key for key in huge if lo <= key < hi]
+            for key in victims:
+                del huge[key]
             dropped += len(victims)
-        huge_vpns = self._huge_index.get(eff_pcid)
-        if huge_vpns:
-            huge_victims = [
-                v for v in huge_vpns if v < vpn_end and v + HUGE_SPAN > vpn_start
-            ]
-            huge_entries = self._huge_entries
-            for vpn in huge_victims:
-                del huge_entries[key_base | vpn]
-                huge_vpns.discard(vpn)
-            if not huge_vpns:
-                del self._huge_index[eff_pcid]
-            dropped += len(huge_victims)
         if dropped:
             # A miss changes nothing observable, so only a drop mints new
             # versions (the snapshot restore and the model checker's
             # canonical-fragment cache skip work while they are unchanged).
             self.invalidations += dropped
-            self._state_version = next(_VERSIONS)
-            self._entries_version = next(_VERSIONS)
-        return dropped
-
-    def _invalidate_range_scan(self, eff_pcid: int, vpn_start: int, vpn_end: int) -> int:
-        """The original linear scan over every resident entry."""
-        split = self._split_key
-        victims = []
-        for key in self._entries:
-            pcid, vpn = split(key)
-            if pcid == eff_pcid and vpn_start <= vpn < vpn_end:
-                victims.append(key)
-        for key in victims:
-            del self._entries[key]
-        huge_victims = []
-        for key in self._huge_entries:
-            pcid, vpn = split(key)
-            if pcid == eff_pcid and vpn < vpn_end and vpn + HUGE_SPAN > vpn_start:
-                huge_victims.append(key)
-        for key in huge_victims:
-            del self._huge_entries[key]
-        dropped = len(victims) + len(huge_victims)
-        if dropped:
             self._state_version = next(_VERSIONS)
             self._entries_version = next(_VERSIONS)
         return dropped
@@ -398,26 +325,16 @@ class Tlb:
             count = len(self._entries) + len(self._huge_entries)
             self._entries.clear()
             self._huge_entries.clear()
-            self._index.clear()
-            self._huge_index.clear()
             return count
-        key_base = pcid << KEY_PCID_SHIFT
-        if self.use_index:
-            vpns = self._index.pop(pcid, ())
-            for vpn in vpns:
-                del self._entries[key_base | vpn]
-            huge_vpns = self._huge_index.pop(pcid, ())
-            for vpn in huge_vpns:
-                del self._huge_entries[key_base | vpn]
-            return len(vpns) + len(huge_vpns)
-        split = self._split_key
-        victims = [key for key in self._entries if split(key)[0] == pcid]
-        for key in victims:
-            del self._entries[key]
-        huge_victims = [key for key in self._huge_entries if split(key)[0] == pcid]
-        for key in huge_victims:
-            del self._huge_entries[key]
-        return len(victims) + len(huge_victims)
+        lo = pcid << KEY_PCID_SHIFT
+        hi = lo + KEY_VPN_END
+        dropped = 0
+        for entries in (self._entries, self._huge_entries):
+            victims = [key for key in entries if lo <= key < hi]
+            for key in victims:
+                del entries[key]
+            dropped += len(victims)
+        return dropped
 
     # ---- inspection ------------------------------------------------------------
 
@@ -462,14 +379,6 @@ class Tlb:
     def canonical_huge_rows(self) -> List[Tuple[int, int, int, bool, int]]:
         """Huge-array twin of :meth:`canonical_rows`."""
         return _canonical(self._huge_entries)
-
-    def cached_vpns(self, pcid: int) -> Iterable[int]:
-        eff_pcid = pcid if self.pcid_enabled else NO_PCID
-        if self.use_index:
-            return sorted(self._index.get(eff_pcid, ()))
-        return [
-            vpn for (p, vpn) in map(self._split_key, self._entries) if p == eff_pcid
-        ]
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -32,13 +32,16 @@ DEFAULT_FRAMES_PER_NODE = 65_536
 class Kernel:
     """The simulated operating system."""
 
+    #: Plain ``touch_pages`` calls take the batched fault loop. Tests set
+    #: it to False to run the per-page generic path against the loop.
+    use_batched_faults = True
+
     def __init__(
         self,
         machine: Machine,
         coherence: TLBCoherence,
         frames_per_node: int = DEFAULT_FRAMES_PER_NODE,
         seed: int = 1,
-        use_batched_faults: Optional[bool] = None,
         use_pt_replication: Optional[bool] = None,
         use_virtualization: Optional[bool] = None,
     ):
@@ -46,9 +49,6 @@ class Kernel:
         self.sim: Simulator = machine.sim
         self.stats = machine.stats
         self.coherence = coherence
-        #: Escape hatch for the flat touch_pages fault path (default on);
-        #: False routes every touch through the generic per-page handler.
-        self.use_batched_faults = True if use_batched_faults is None else use_batched_faults
         #: NUMA-aware page-table placement modelling (numaPTE). ``None``
         #: asks the mechanism (only numaPTE wants it); off preserves
         #: today's flat single-table behavior bit-identically. When on,

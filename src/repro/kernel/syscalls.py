@@ -373,10 +373,10 @@ class Syscalls:
         resident on a remote NUMA node cost more -- the locality effect
         AutoNUMA migrations exist to buy back.
 
-        Plain touches (no ``process_data``) take a flat batched fault path
-        by default (see :meth:`_touch_pages_batched`); the
-        ``use_batched_faults`` kernel flag is the escape hatch back to the
-        generic per-page handler.
+        Plain touches (no ``process_data``) take the batched fault loop
+        (see :meth:`_touch_pages_batched`) while
+        ``Kernel.use_batched_faults`` is set; otherwise every page goes
+        through :meth:`access`.
         """
         if self.kernel.use_batched_faults and not process_data:
             yield from self._touch_pages_batched(task, core, vrange, write)

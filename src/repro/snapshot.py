@@ -44,7 +44,7 @@ class SnapshotError(SimulationError):
 #: Global escape hatch (CLI ``--no-snapshots``): when False, every warm-boot
 #: pool boots cold and the model checker backtracks by replay. Snapshots and
 #: replay are bit-identical by construction; the flag exists so any suspected
-#: snapshot bug can be ruled out in one run, same pattern as the TLB index.
+#: snapshot bug can be ruled out in one run.
 _SNAPSHOTS_ENABLED = True
 
 
@@ -105,7 +105,7 @@ def _copy_pt_root(root: Dict) -> Dict:
 
 def _tlb_snapshot(tlb) -> Tuple:
     # Slots and keys are ints, so only the containers -- the LRU order
-    # of the two entry dicts and the pcid index -- are copied.
+    # of the two entry dicts -- are copied.
     # The leading version pair keys the skip paths: versions are globally
     # unique per state (see ``repro.hw.tlb._VERSIONS``), so an unchanged
     # version means the previous snapshot tuple is still exact, and a
@@ -118,8 +118,6 @@ def _tlb_snapshot(tlb) -> Tuple:
         tlb._state_version, tlb._entries_version,
         list(tlb._entries.items()),
         list(tlb._huge_entries.items()),
-        {pcid: set(vpns) for pcid, vpns in tlb._index.items()},
-        {pcid: set(vpns) for pcid, vpns in tlb._huge_index.items()},
         tlb.hits, tlb.misses, tlb.invalidations, tlb.full_flushes,
         tlb.evictions,
     )
@@ -130,13 +128,11 @@ def _tlb_snapshot(tlb) -> Tuple:
 def _tlb_restore(tlb, snap: Tuple) -> None:
     if tlb._state_version == snap[0]:
         return  # nothing touched this TLB since the snapshot was taken
-    (state_version, entries_version, entries, huge, index, huge_index,
+    (state_version, entries_version, entries, huge,
      tlb.hits, tlb.misses, tlb.invalidations, tlb.full_flushes,
      tlb.evictions) = snap
     tlb._entries = dict(entries)
     tlb._huge_entries = dict(huge)
-    tlb._index = {pcid: set(vpns) for pcid, vpns in index.items()}
-    tlb._huge_index = {pcid: set(vpns) for pcid, vpns in huge_index.items()}
     # The content now *is* the snapshot's, so rewind the versions with it
     # (safe: these version numbers were minted for exactly this content).
     tlb._state_version = state_version

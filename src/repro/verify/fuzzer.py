@@ -94,7 +94,6 @@ def build_fuzz_system(
     frames_per_node: int = FRAMES_PER_NODE,
     monitor_stride: int = 1,
     latr_kwargs: Optional[Dict[str, object]] = None,
-    use_tlb_index: Optional[bool] = None,
     use_pt_replication: Optional[bool] = None,
     use_virtualization: Optional[bool] = None,
 ) -> FuzzSystem:
@@ -131,9 +130,7 @@ def build_fuzz_system(
     else:
         coherence = make_mechanism(mechanism)
 
-    machine = Machine(sim, spec, use_tlb_index=use_tlb_index)
-    if mutation is not None and mutation.machine_patch is not None:
-        mutation.machine_patch(machine)
+    machine = Machine(sim, spec)
     kernel = Kernel(
         machine,
         coherence,
@@ -512,7 +509,6 @@ def run_one(
     frames_per_node: int = FRAMES_PER_NODE,
     monitor_stride: int = 1,
     latr_kwargs: Optional[Dict[str, object]] = None,
-    use_tlb_index: Optional[bool] = None,
     use_pt_replication: Optional[bool] = None,
     use_virtualization: Optional[bool] = None,
     pool=None,
@@ -535,7 +531,6 @@ def run_one(
             frames_per_node=frames_per_node,
             monitor_stride=monitor_stride,
             latr_kwargs=latr_kwargs,
-            use_tlb_index=use_tlb_index,
             use_pt_replication=use_pt_replication,
             use_virtualization=use_virtualization,
         )
@@ -550,7 +545,7 @@ def run_one(
             tuple(sorted(plan.schedule.tick_offsets.items())),
             frames_per_node, monitor_stride,
             tuple(sorted((latr_kwargs or {}).items())),
-            use_tlb_index, use_pt_replication, use_virtualization,
+            use_pt_replication, use_virtualization,
         )
         system = pool.acquire(key, build)
     else:

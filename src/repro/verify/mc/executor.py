@@ -25,9 +25,9 @@ Determinism contract: every action's effect is a pure function of the
 executed action sequence, so a state is identified by a canonical hash of
 the functional machine state (TLBs, page table, VMAs, allocator free
 lists, LATR queues with seq numbers normalized to posting order, thread
-PCs, in-flight set). Derived acceleration state (sweep cursors, the TLB's
-pcid index, the active-state cache) is excluded so the hash is invariant
-across the fast-path escape hatches -- except in mutated runs, where the
+PCs, in-flight set). Derived acceleration state (the LATR sweep cursors
+and per-core inboxes) is excluded so the hash is invariant across the
+``use_sweep_index`` escape hatch -- except in mutated runs, where the
 broken derived state is the bug and is folded back in.
 """
 
@@ -60,10 +60,10 @@ from ..mutations import mutation_spec
 from .program import McOp, generate_program, per_core_programs
 
 #: Replay variants. ``primary`` is the exploration schedule; the others
-#: re-run a trace with one fast-path escape hatch or engine order flipped
+#: re-run a trace with the sweep escape hatch or engine order flipped
 #: (identical end state required), or under a synchronous mechanism
 #: (normalized end state required).
-TOGGLE_VARIANTS = ("tlbidx", "sweepidx")
+TOGGLE_VARIANTS = ("sweepidx",)
 ORDER_VARIANTS = ("revheap",)
 
 #: The flag names a packed slot's SOA_MIGRATION bit stands for (what
@@ -122,9 +122,9 @@ class McExecutor:
         self.in_flight: Dict[int, Tuple[McOp, object]] = {}
         #: page slot -> live VirtRange (None while unmapped).
         self.slots: List[Optional[VirtRange]] = [None] * scope.pages
-        #: (core id, include_derived) -> (tlb entries_version, pickled
-        #: canonical fragment); see _canonical_state.
-        self._tlb_canon: Dict[Tuple[int, bool], Tuple[int, bytes]] = {}
+        #: core id -> (tlb entries_version, pickled canonical fragment);
+        #: see _canonical_state.
+        self._tlb_canon: Dict[int, Tuple[int, bytes]] = {}
         #: (allocator version, pickled canonical fragment) or None.
         self._frames_canon: Optional[Tuple[int, bytes]] = None
         #: ((page table version, host table version), pickled canonical
@@ -161,13 +161,7 @@ class McExecutor:
                 sweep_on_tick=False,
                 use_sweep_index=(variant != "sweepidx"),
             )
-        machine = Machine(
-            sim,
-            _build_spec(scope.cores),
-            use_tlb_index=(False if variant == "tlbidx" else None),
-        )
-        if self.mutation is not None and self.mutation.machine_patch is not None:
-            self.mutation.machine_patch(machine)
+        machine = Machine(sim, _build_spec(scope.cores))
         kernel = Kernel(
             machine, coherence, frames_per_node=scope.frames_per_node, seed=1
         )
@@ -429,15 +423,10 @@ class McExecutor:
             # The fragment depends only on the resident entry set (sorted,
             # so LRU order is irrelevant), hence the entries_version key.
             version = tlb._entries_version
-            cache_key = (core.id, include_derived)
-            hit = canon_cache.get(cache_key)
+            hit = canon_cache.get(core.id)
             if hit is None or hit[0] != version:
                 row = (core.id, tlb.canonical_rows(), tlb.canonical_huge_rows())
-                if include_derived and tlb.use_index:
-                    row += (
-                        sorted((k, sorted(v)) for k, v in tlb._index.items()),
-                    )
-                hit = canon_cache[cache_key] = (version, dumps(row, 4))
+                hit = canon_cache[core.id] = (version, dumps(row, 4))
             pieces.append(hit[1])
 
         page_table = mm.page_table

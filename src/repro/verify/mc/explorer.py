@@ -27,10 +27,10 @@ action whose post-state hashes identically -- is reported as a livelock
 finding; this is how sweep-cache staleness shows up exhaustively.
 
 Complete (maximal, drained) traces run through the differential oracle:
-replayed with each fast-path escape hatch toggled (TLB index, sweep
-index -- end state must be hash-identical), with the
-engine's same-instant event order reversed through the ready-set hook
-(normalized end state must match), and under each synchronous mechanism
+replayed with the sweep escape hatch toggled (``use_sweep_index``; end
+state must be hash-identical), with the engine's same-instant event
+order reversed through the ready-set hook (normalized end state must
+match), and under each synchronous mechanism
 (normalized end state must match). Counterexample traces are shrunk with
 the suite-wide ddmin.
 """
@@ -74,8 +74,8 @@ class McConfig:
     shrink_budget: int = 60
     #: Backtrack via in-place world snapshots (O(1) per sibling) instead of
     #: replaying every prefix from a cold boot (O(depth)). False is the
-    #: bit-identical escape hatch, same pattern as the TLB and sweep
-    #: indexes; mutated scopes force the replay path because a mutation
+    #: bit-identical escape hatch, same pattern as the sweep index;
+    #: mutated scopes force the replay path because a mutation
     #: may carry broken state the snapshot layer does not model.
     use_snapshots: bool = True
 
@@ -382,7 +382,7 @@ class _CellExplorer:
         findings: List[str] = []
         base_hash = executor.state_hash(include_derived=False)
         base_snap = executor.mech_snapshot()
-        # Fast-path escape hatches: end state must be hash-identical.
+        # The sweep escape hatch: end state must be hash-identical.
         for variant in TOGGLE_VARIANTS:
             replica = self._variant_replica(variant, trace)
             vfind = replica.findings()

@@ -4,7 +4,7 @@ The verification suite's own correctness claim ("zero findings means the
 mechanism is safe under these schedules") is only credible if a *broken*
 system fails the same harnesses. Each :class:`Mutation` spec re-introduces
 one bug class the design rules exist to prevent, at whichever layer the
-bug lives (coherence algorithm, TLB hardware model, or kernel mm facade):
+bug lives (coherence algorithm or kernel mm facade):
 
 * ``reclaim_delay_zero`` -- the reclamation daemon trusts the age-based
   delay alone (the paper's two-tick rule) instead of also requiring an
@@ -13,9 +13,6 @@ bug lives (coherence algorithm, TLB hardware model, or kernel mm facade):
 * ``skip_sweep_invalidate`` -- the sweep clears its bitmask bit (so
   reclamation proceeds on schedule) but "forgets" the TLB invalidation,
   modelling a lost INVLPG: every reclaim then races a live stale entry.
-* ``tlb_index_desync`` -- the per-pcid TLB victim index misses every
-  second fill, so indexed range invalidations skip a resident entry:
-  a stale translation survives the shootdown and races the frame free.
 * ``active_cache_stale`` -- a post's inbox fan-out skips one target core,
   so that core's sweeps never see the state while their cursor advances
   past it: the state keeps waiting for a sweep that never comes, never
@@ -34,8 +31,7 @@ bug lives (coherence algorithm, TLB hardware model, or kernel mm facade):
   (and possibly handed to another VM) -- the virtualized twin of the
   stale-TLB bug class LATR's design rules exist to prevent.
 
-The first two, ``tlb_index_desync``, ``broken_replica``, and
-``broken_ept_shootdown`` must be caught by the
+All but ``active_cache_stale`` must be caught by the
 :class:`~repro.verify.monitor.InvariantMonitor`; ``active_cache_stale`` is
 a liveness/equivalence bug caught by the drain guards and the
 differential oracles. The mutation tests and the model checker's
@@ -50,12 +46,10 @@ from typing import Callable, Dict, List, Optional, Type
 from ..coherence.latr import LatrCoherence
 from ..coherence.numapte import NumaPteCoherence
 from ..coherence.states import LatrFlag, SoaLatrState
-from ..hw.machine import Machine
 
 MUTATIONS = (
     "reclaim_delay_zero",
     "skip_sweep_invalidate",
-    "tlb_index_desync",
     "active_cache_stale",
     "broken_replica",
     "broken_ept_shootdown",
@@ -66,8 +60,8 @@ MUTATIONS = (
 class Mutation:
     """One injectable bug: which layer it patches and how it must be caught.
 
-    A spec may swap the coherence class and/or patch the built machine or
-    kernel in place -- whichever layer hosts the bug.
+    A spec may swap the coherence class and/or patch the built kernel in
+    place -- whichever layer hosts the bug.
     ``detected_by`` documents the oracle expected to flag it:
 
     * ``"monitor"`` -- instant-level invariant violations,
@@ -79,7 +73,6 @@ class Mutation:
     name: str
     description: str
     coherence_cls: Optional[Type] = None
-    machine_patch: Optional[Callable[[Machine], None]] = None
     #: Applied to the freshly-built Kernel (before any process exists);
     #: hosts bugs that live below the coherence layer (e.g. the mm facade).
     kernel_patch: Optional[Callable] = None
@@ -154,31 +147,8 @@ class SkipSweepInvalidateLatr(LatrCoherence):
 
 
 # ---------------------------------------------------------------------------
-# Fast-path mutations (TLB index / sweep cache)
+# Fast-path mutations (sweep inboxes)
 # ---------------------------------------------------------------------------
-
-
-def desync_tlb_index(machine: Machine) -> None:
-    """Mutation: every second TLB fill never lands in the per-pcid victim
-    index, so indexed range invalidations miss a resident entry."""
-    for core in machine.cores:
-        tlb = core.tlb
-        if not tlb.use_index:
-            continue
-        fills = [0]
-        original_fill_new = tlb.fill_new
-
-        def fill_new(pcid, vpn, pfn, writable=True, generation=0, mm_id=0,
-                     _tlb=tlb, _orig=original_fill_new, _fills=fills):
-            _orig(pcid, vpn, pfn, writable, generation, mm_id)
-            _fills[0] += 1
-            if _fills[0] % 2 == 0:
-                # BUG: drop the index entry the fill just added; the
-                # translation stays resident but invisible to shootdowns.
-                _tlb._index_drop(_tlb._index, _tlb._key(pcid, vpn))
-
-        # ``fill`` routes through the instance's patched ``fill_new``.
-        tlb.fill_new = fill_new
 
 
 class StaleActiveCacheLatr(LatrCoherence):
@@ -288,12 +258,6 @@ MUTATION_SPECS: Dict[str, Mutation] = {
             detected_by="monitor",
         ),
         Mutation(
-            name="tlb_index_desync",
-            description="per-pcid TLB victim index misses every 2nd fill",
-            machine_patch=desync_tlb_index,
-            detected_by="monitor",
-        ),
-        Mutation(
             name="active_cache_stale",
             description="a post's inbox fan-out skips one target core",
             coherence_cls=StaleActiveCacheLatr,
@@ -331,7 +295,7 @@ def mutation_spec(mutation: str) -> Mutation:
 def mutated_latr_class(mutation: str) -> Type[LatrCoherence]:
     """The (possibly unmutated) LATR class for ``mutation``.
 
-    Machine- and kernel-level mutations keep the healthy coherence class;
+    Kernel-level mutations keep the healthy coherence class;
     use :func:`mutation_spec` to apply every layer of a mutation.
     """
     return mutation_spec(mutation).coherence_cls or LatrCoherence

@@ -2,8 +2,8 @@
 
 Each driver replays one fixed op sequence and returns what it modelled,
 so tests pin its output (golden fingerprints), compare two
-implementations of a hot path on it (indexed vs full-scan sweeps, TLB
-index vs scan), or count the work it does (exact call budgets). None of
+implementations of a hot path on it (inbox vs full-scan sweeps), or count
+the work it does (exact call budgets). None of
 them reads the host clock: host time is measured by ``perfbench/`` alone.
 
 ``repro.workloads`` does not import this module, so importing the
@@ -125,43 +125,6 @@ def run_engine_stress(n_events: int, record_order: bool = False):
         sim.every(7_000 + 911 * i, churn, start=503 * i)
     sim.run(max_events=n_events)
     return sim, sim.order_log
-
-
-def run_invalidate_stress(ops: int, use_index: bool = True) -> Dict[str, object]:
-    """Hammer one bare Tlb with a deterministic mix of fills (24 PCIDs,
-    clustered vpns, occasional 2 MiB entries), range invalidations wide
-    enough to overlap huge pages, and per-PCID flushes. Returns the final
-    observable state -- drop count, surviving (pcid, vpn) keys in residence
-    order, counter stats -- which must not depend on ``use_index``."""
-    from ..hw.tlb import HUGE_SPAN, Tlb, TlbEntry
-
-    tlb = Tlb(capacity=4096, pcid_enabled=True, huge_capacity=128, use_index=use_index)
-    rng = [0x9E3779B9]
-    drops = 0
-    for op in range(ops):
-        r = _xorshift(rng)
-        pcid = 1 + r % 24
-        base = (r >> 8) % 1_000_000
-        kind = op % 8
-        if kind < 3:
-            stride = (r >> 5) % 3 + 1
-            for i in range(32):
-                tlb.fill(pcid, base + i * stride, TlbEntry(pfn=op * 32 + i))
-            if (r >> 3) % 4 == 0:
-                tlb.fill_huge(
-                    pcid, base - base % HUGE_SPAN, TlbEntry(pfn=op)
-                )
-        elif kind < 7:
-            width = 8 + (r >> 6) % 4096
-            drops += tlb.invalidate_range(pcid, base, base + width)
-        else:
-            drops += tlb.flush(pcid)
-    return {
-        "drops": drops,
-        "entries": [key for key, _ in tlb.items()],
-        "huge_entries": [key for key, _ in tlb.huge_items()],
-        "stats": tlb.stats(),
-    }
 
 
 def run_fleet_stress(scope: Dict[str, object], seed: int) -> Dict[str, object]:

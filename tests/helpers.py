@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro import build_system
+from repro.kernel.kernel import Kernel
 from repro.sim.engine import MSEC, SEC
 
 
@@ -29,6 +32,19 @@ def run_to_completion(system, gen, timeout_ms=2_000):
 def drain(system, ms=5):
     """Advance the simulation by ``ms`` simulated milliseconds."""
     system.sim.run(until=system.sim.now + ms * MSEC)
+
+
+@pytest.fixture
+def set_batched_faults(monkeypatch):
+    """A setter for ``Kernel.use_batched_faults`` that lasts to the end of
+    the test: True runs plain touches through the batched fault loop,
+    False through the per-page generic path. Import it into a test module
+    to use it there."""
+
+    def set_(batched: bool) -> None:
+        monkeypatch.setattr(Kernel, "use_batched_faults", batched)
+
+    return set_
 
 
 def count_calls(monkeypatch, *methods):

@@ -1,5 +1,5 @@
 """The batched touch loop (``Syscalls._touch_pages_batched``) against the
-per-page generic path (``use_batched_faults=False``).
+per-page generic path (``Kernel.use_batched_faults`` set to False).
 
 The loop serves 4 KiB demand faults (anonymous, and reads of file pages)
 in its own frame and delegates every other case. These tests pin that it
@@ -27,7 +27,7 @@ from repro.workloads.apache import run_apache
 from repro.workloads.openloop import run_openloop
 from repro.workloads.stress import FLEET_SMOKE_SCOPE, run_fleet_stress
 
-from helpers import count_calls, make_proc, run_to_completion
+from helpers import count_calls, make_proc, run_to_completion, set_batched_faults  # noqa: F401
 
 
 class TestOneLookupPerPage:
@@ -35,8 +35,9 @@ class TestOneLookupPerPage:
     half of ``access``, so no page is looked up twice."""
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "generic"])
-    def test_remote_read_refills_miss_once_per_page(self, batched):
-        system = build_system("linux", cores=2, use_batched_faults=batched)
+    def test_remote_read_refills_miss_once_per_page(self, batched, set_batched_faults):
+        set_batched_faults(batched)
+        system = build_system("linux", cores=2)
         kernel = system.kernel
         _proc, tasks = make_proc(system)
         c0, c1 = kernel.machine.core(0), kernel.machine.core(1)
@@ -55,9 +56,10 @@ class TestOneLookupPerPage:
         assert after["resident"] - before["resident"] == 4
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "generic"])
-    def test_cow_writes_look_up_once_per_page(self, batched):
+    def test_cow_writes_look_up_once_per_page(self, batched, set_batched_faults):
         # CoW breaks are delegated; they must not be looked up twice either.
-        system = build_system("linux", cores=2, use_batched_faults=batched)
+        set_batched_faults(batched)
+        system = build_system("linux", cores=2)
         kernel = system.kernel
         _proc, tasks = make_proc(system)
         c0 = kernel.machine.core(0)
@@ -107,22 +109,23 @@ class TestWalkCountersAtFill:
 
 
 @pytest.mark.parametrize("seed", [3, 11, 27])
-def test_fuzz_plans_agree_on_both_paths(monkeypatch, seed):
+def test_fuzz_plans_agree_on_both_paths(monkeypatch, set_batched_faults, seed):
     # The plans mix CoW after fork, NUMA hints, swap and madvise, so every
-    # delegated case meets the loop. run_one builds its own Kernel, so the
-    # path is chosen by wrapping Kernel.__init__.
+    # delegated case meets the loop. run_one builds its own Kernel, which
+    # a wrapped Kernel.__init__ records so its TLBs can be read.
     plan = generate_plan(seed, 40, n_cores=4, n_procs=2)
     init = Kernel.__init__
     outcomes = []
     for batched in (True, False):
+        set_batched_faults(batched)
         kernels = []
 
-        def patched(self, *args, **kwargs):
-            init(self, *args, **{**kwargs, "use_batched_faults": batched})
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
             kernels.append(self)
 
         with monkeypatch.context() as patch:
-            patch.setattr(Kernel, "__init__", patched)
+            patch.setattr(Kernel, "__init__", recording)
             r = run_one("latr", plan)
         assert r.clean, (r.violations, r.errors)
         (kernel,) = kernels
@@ -137,20 +140,14 @@ def test_fuzz_plans_agree_on_both_paths(monkeypatch, seed):
     [("numapte", 10, {}), ("linux", 4, {"use_virtualization": True})],
     ids=["numapte", "virt"],
 )
-def test_apache_agrees_except_walk_counters(mechanism, cores, kwargs):
+def test_apache_agrees_except_walk_counters(set_batched_faults, mechanism, cores, kwargs):
     # The generic path also counts the failed walk in front of each demand
     # fault (ROADMAP item 5), so the walk counters are left out; every
     # metric and every other counter must agree.
-    legs = [
-        run_apache(
-            mechanism,
-            {**kwargs, "use_batched_faults": batched},
-            cores=cores,
-            warmup_ms=2,
-            duration_ms=5,
-        )
-        for batched in (True, False)
-    ]
+    legs = []
+    for batched in (True, False):
+        set_batched_faults(batched)
+        legs.append(run_apache(mechanism, kwargs, cores=cores, warmup_ms=2, duration_ms=5))
     counters = [
         {
             name: value
@@ -196,8 +193,8 @@ class TestTouchWorkBudget:
     runs.
 
     The simulation is deterministic, so these are host-independent work
-    measures: a redundant walk or lookup on the touch path, or a sweep or
-    range invalidation that leaves its index, moves them. When a change
+    measures: a redundant walk or lookup on the touch path, or a sweep
+    that leaves its inbox, moves them. When a change
     removes work on purpose, re-pin them and say why.
     """
 
@@ -213,7 +210,7 @@ class TestTouchWorkBudget:
         assert (counters["sys.munmap"], counters["faults.total"]) == (196, 588)
         assert (calls["lookup"], calls["walk"]) == (588, 1_764)
 
-    def test_openloop_small_scope(self, monkeypatch):
+    def test_openloop_small_scope(self, monkeypatch, set_batched_faults):
         calls = count_calls(
             monkeypatch, (PageTable, "walk"), (Tlb, "lookup"), (Syscalls, "access")
         )
@@ -231,12 +228,12 @@ class TestTouchWorkBudget:
         # 2,070 one-page touches: 1,182 demand faults, each one lookup and
         # two walks, and 888 TLB hits. munmap walks the page of each of
         # its 222 calls. 2 x 1,182 + 222 = 2,586 walks, and no touch goes
-        # through access(). The generic path (use_batched_faults=False)
-        # walks 3,768 times and calls access() 2,070 times for the same
-        # modelled result.
+        # through access(). The generic path walks 3,768 times and calls
+        # access() 2,070 times for the same modelled result.
         assert batched.counters["faults.minor-anon"] == 1_182
         assert calls == {"walk": 2_586, "lookup": 2_070, "access": 0}
-        generic = run_openloop(use_batched_faults=False, **scope)
+        set_batched_faults(False)
+        generic = run_openloop(**scope)
         assert (generic.metrics, generic.counters) == (batched.metrics, batched.counters)
 
     def test_fleet_smoke(self, monkeypatch):
@@ -244,7 +241,6 @@ class TestTouchWorkBudget:
             monkeypatch,
             (PageTable, "walk"),
             (Tlb, "lookup"),
-            (Tlb, "_invalidate_range_scan"),
             (LatrCoherence, "_sweep_inbox"),
             (LatrCoherence, "_sweep_full"),
             (LatrCoherence, "_take_inbox"),
@@ -259,10 +255,8 @@ class TestTouchWorkBudget:
         assert summary["count.faults.minor-anon"] == 160
         assert (calls["lookup"], calls["walk"]) == (607, 1_358)
         # Every sweep takes the inbox path; the 1,574 that find an active
-        # state take their inbox once. Range invalidations use the TLB's
-        # per-PCID index, never the linear scan.
+        # state take their inbox once.
         assert summary["count.latr.sweeps"] == 1_921
         assert (
             calls["_sweep_inbox"], calls["_sweep_full"], calls["_take_inbox"]
         ) == (1_921, 0, 1_574)
-        assert calls["_invalidate_range_scan"] == 0

@@ -132,3 +132,24 @@ class TestJobsPlumbing:
         assert main(["list"]) == 0
         out = capsys.readouterr().out.split()
         assert "model-exhaust" in out
+
+
+class TestCiCommand:
+    def test_runs_tier1_once_at_the_configured_verbosity(self, monkeypatch, capsys):
+        # pyproject's addopts already pass -q; a second one runs pytest at
+        # -qq, which prints no "N passed in T s" line. Tier-1 is the only
+        # step, so pytest is the only subprocess.
+        import subprocess
+
+        calls = []
+
+        def fake_call(argv, **kwargs):
+            calls.append(argv)
+            return 0
+
+        monkeypatch.setattr(subprocess, "call", fake_call)
+        assert main(["ci"]) == 0
+        (argv,) = calls
+        assert argv[1:3] == ["-m", "pytest"]
+        assert "-q" not in argv
+        assert capsys.readouterr().out.splitlines()[-1].startswith("ci: tier-1 pytest: ok")

@@ -102,9 +102,8 @@ def test_mc_healthy_state_set_fingerprint(differential):
 @pytest.mark.parametrize(
     "mutation, states, expected",
     [
-        ("skip_sweep_invalidate", 6, "76e3a905ecea0431"),
-        ("active_cache_stale", 7, "72f63a1f07a04234"),
-        ("tlb_index_desync", 6, "60424366306b57dd"),
+        ("skip_sweep_invalidate", 6, "63253514b0f6c3d6"),
+        ("active_cache_stale", 7, "06b9d894cec4df35"),
     ],
 )
 def test_mc_mutation_state_set_fingerprint(mutation, states, expected):
@@ -149,12 +148,12 @@ FAST_TABLE_FINGERPRINTS = {
     "fig7": "77d5186b88f09955",
     "fig8": "5cbf13f4089f20e5",
     "fig9": "6214c69c7aafb1ee",
-    "fuzz-mutation": "00df4831815146b9",
+    "fuzz-mutation": "a5ad873521c2ee98",
     "fuzz-smoke": "9ee1400ffb31b13e",
     "mech-compare": "eea2f3e9d429c6f3",
     "memoverhead": "9cc1d98ea3f40ebb",
     "model-check": "4720a0134bfd38ed",
-    "model-exhaust": "e7fdba0175f89308",
+    "model-exhaust": "42a4d9a2c7495224",
     "numapte": "2d03d3c24a51a44c",
     "slo": "55988c1677b58028",
     "tab1": "fbb5839f24ef33ff",

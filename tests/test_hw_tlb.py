@@ -2,16 +2,9 @@
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
-from helpers import drain, make_proc, run_to_completion
-
-from repro import build_system
-from repro.hw.tlb import HUGE_SPAN, NO_PCID, Tlb, TlbEntry, entry_pfn
-from repro.mm.addr import PAGE_SIZE
-from repro.verify.fuzzer import run_one
-from repro.verify.plan import generate_plan
-from repro.workloads.stress import run_invalidate_stress
+from repro.hw.tlb import HUGE_SPAN, KEY_PCID_SHIFT, NO_PCID, Tlb, TlbEntry, entry_pfn
 
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -116,6 +109,18 @@ class TestPcid:
         assert tlb.invalidate_range(1, 0, 10) == 1
         assert tlb.peek(2, 3) is not None
 
+    def test_range_past_the_vpn_field_stays_in_its_pcid(self):
+        # Keys are pcid << 48 | vpn: pcid 2's low vpns sit right above
+        # pcid 1's top one, so a range end past the field must be clamped.
+        top = 1 << KEY_PCID_SHIFT
+        tlb = Tlb(capacity=8, pcid_enabled=True)
+        fill(tlb, top - 1, pcid=1)
+        fill(tlb, 0, pcid=2)
+        fill(tlb, 3, pcid=2)
+        assert tlb.invalidate_range(1, top - 2, top + 4) == 1
+        assert tlb.flush(pcid=1) == 0
+        assert [key for key, _entry in tlb.items()] == [(2, 0), (2, 3)]
+
     def test_no_pcid_flush_with_pcid_arg_flushes_all(self):
         tlb = Tlb(capacity=8, pcid_enabled=False)
         fill(tlb, 1, pcid=1)
@@ -123,57 +128,159 @@ class TestPcid:
         assert tlb.flush(pcid=1) == 2
 
 
+#: One past the last vpn a key holds.
+_TOP = 1 << KEY_PCID_SHIFT
+#: Fills and ranges start in three 32-vpn windows -- at the pcid base,
+#: across the first 2 MiB boundary and at the top of the vpn field -- so
+#: ranges often hit resident entries and can run past the field.
+_VPNS = st.builds(
+    lambda window, offset: window + offset,
+    st.sampled_from((0, HUGE_SPAN - 16, _TOP - 32)),
+    st.integers(min_value=0, max_value=31),
+)
+#: Widths on both sides of the resident count (at most 32 here), so both
+#: the key-probe and the comparison-pass branch run.
+_WIDTHS = st.one_of(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=13, max_value=2 * HUGE_SPAN),
+)
+#: Fills are drawn most, so the TLB is often near full when a range drops.
 _TLB_OPS = st.lists(
     st.tuples(
         st.sampled_from(
-            ["fill", "fill_huge", "lookup", "inv_page", "inv_range", "flush_pcid", "flush_all"]
+            ["fill"] * 6
+            + ["fill_huge", "lookup", "inv_page"]
+            + ["inv_range"] * 3
+            + ["flush_pcid", "flush_all"]
         ),
         st.integers(min_value=1, max_value=3),  # pcid
-        st.integers(min_value=0, max_value=4 * HUGE_SPAN),  # vpn / range start
-        st.integers(min_value=1, max_value=2 * HUGE_SPAN),  # range width
+        _VPNS,  # vpn / range start
+        _WIDTHS,
     ),
+    min_size=30,
     max_size=200,
 )
 
 
+class _ScanModel:
+    """Shadow of one :class:`Tlb`: dicts keyed by ``(pcid, vpn)`` tuples,
+    in LRU order, that drop entries by the linear scan's rules -- a 4 KiB
+    entry iff ``start <= vpn < end``, a huge one iff ``base < end and
+    base + 512 > start``, both within the pcid."""
+
+    def __init__(self, capacity, huge_capacity, pcid_enabled):
+        self.limits = {"entries": capacity, "huge": huge_capacity}
+        self.pcid_enabled = pcid_enabled
+        self.tables = {"entries": {}, "huge": {}}
+        self.stats = dict.fromkeys(
+            ("hits", "misses", "invalidations", "full_flushes", "evictions"), 0
+        )
+
+    def _keys(self, pcid, vpn):
+        tag = pcid if self.pcid_enabled else NO_PCID
+        return (("entries", (tag, vpn)), ("huge", (tag, vpn - vpn % HUGE_SPAN)))
+
+    def _put(self, name, key, pfn):
+        table = self.tables[name]
+        table.pop(key, None)
+        table[key] = pfn
+        while len(table) > self.limits[name]:
+            del table[next(iter(table))]
+            self.stats["evictions"] += 1
+
+    def fill(self, pcid, vpn, pfn):
+        self._put(*self._keys(pcid, vpn)[0], pfn)
+
+    def fill_huge(self, pcid, base, pfn):
+        self._put(*self._keys(pcid, base)[1], pfn)
+
+    def lookup(self, pcid, vpn):
+        for name, key in self._keys(pcid, vpn):
+            table = self.tables[name]
+            if key in table:
+                table[key] = table.pop(key)
+                self.stats["hits"] += 1
+                return table[key]
+        self.stats["misses"] += 1
+        return None
+
+    def invalidate_page(self, pcid, vpn):
+        for name, key in self._keys(pcid, vpn):
+            if self.tables[name].pop(key, None) is not None:
+                self.stats["invalidations"] += 1
+                return True
+        return False
+
+    def _drop(self, name, hit):
+        table = self.tables[name]
+        victims = [key for key in table if hit(*key)]
+        for key in victims:
+            del table[key]
+        return len(victims)
+
+    def invalidate_range(self, pcid, start, end):
+        tag = pcid if self.pcid_enabled else NO_PCID
+        dropped = self._drop(
+            "entries", lambda p, vpn: p == tag and start <= vpn < end
+        ) + self._drop(
+            "huge", lambda p, base: p == tag and base < end and base + HUGE_SPAN > start
+        )
+        self.stats["invalidations"] += dropped
+        return dropped
+
+    def flush(self, pcid=None):
+        self.stats["full_flushes"] += 1
+        if pcid is None or not self.pcid_enabled:
+            return self._drop("entries", lambda p, v: True) + self._drop(
+                "huge", lambda p, v: True
+            )
+        return self._drop("entries", lambda p, v: p == pcid) + self._drop(
+            "huge", lambda p, v: p == pcid
+        )
+
+
 class TestIndexedVsScan:
-    """The per-pcid secondary index is a pure lookup accelerator: with
-    ``use_index`` on or off, every operation must return the same value and
-    leave the TLB in the same externally observable state -- including
-    huge-page entries whose 512-page span partially overlaps a range."""
+    """The TLB finds a range's victims by key (probing ``pcid << 48 |
+    vpn`` keys, or one comparison pass); every operation must return what
+    the scan model returns and leave the same entries, in LRU order, and
+    the same counters -- including huge entries whose 512-page span
+    partially overlaps a range, ranges that start near the pcid base and
+    ranges that run past the top of the vpn field."""
 
     @SETTINGS
     @given(ops=_TLB_OPS, pcid_enabled=st.booleans())
     def test_matches_scan_model(self, ops, pcid_enabled):
-        tlbs = [
-            Tlb(capacity=32, pcid_enabled=pcid_enabled, huge_capacity=8, use_index=use)
-            for use in (True, False)
-        ]
+        tlb = Tlb(capacity=32, pcid_enabled=pcid_enabled, huge_capacity=8)
+        model = _ScanModel(32, 8, pcid_enabled)
         for op, pcid, vpn, width in ops:
-            results = []
-            for tlb in tlbs:
-                if op == "fill":
-                    results.append(tlb.fill(pcid, vpn, TlbEntry(pfn=vpn + 7)))
-                elif op == "fill_huge":
-                    base = vpn - vpn % HUGE_SPAN
-                    results.append(tlb.fill_huge(pcid, base, TlbEntry(pfn=base + 9)))
-                elif op == "lookup":
-                    results.append(tlb.lookup(pcid, vpn))
-                elif op == "inv_page":
-                    results.append(tlb.invalidate_page(pcid, vpn))
-                elif op == "inv_range":
-                    results.append(tlb.invalidate_range(pcid, vpn, vpn + width))
-                elif op == "flush_pcid":
-                    results.append(tlb.flush(pcid))
-                else:
-                    results.append(tlb.flush())
-            assert results[0] == results[1], (op, pcid, vpn, width)
-        indexed, scan = tlbs
-        assert indexed.items() == scan.items()
-        assert indexed.huge_items() == scan.huge_items()
-        assert indexed.stats() == scan.stats()
-        for pcid in (1, 2, 3):
-            assert sorted(indexed.cached_vpns(pcid)) == sorted(scan.cached_vpns(pcid))
+            if op == "fill":
+                tlb.fill(pcid, vpn, TlbEntry(pfn=vpn + 7))
+                model.fill(pcid, vpn, vpn + 7)
+            elif op == "fill_huge":
+                base = vpn - vpn % HUGE_SPAN
+                tlb.fill_huge(pcid, base, TlbEntry(pfn=base + 9))
+                model.fill_huge(pcid, base, base + 9)
+            elif op == "lookup":
+                slot = tlb.lookup(pcid, vpn)
+                got = None if slot is None else entry_pfn(slot)
+                assert got == model.lookup(pcid, vpn), (op, pcid, vpn)
+            elif op == "inv_page":
+                assert tlb.invalidate_page(pcid, vpn) == model.invalidate_page(pcid, vpn)
+            elif op == "inv_range":
+                assert tlb.invalidate_range(
+                    pcid, vpn, vpn + width
+                ) == model.invalidate_range(pcid, vpn, vpn + width), (pcid, vpn, width)
+            elif op == "flush_pcid":
+                assert tlb.flush(pcid) == model.flush(pcid)
+            else:
+                assert tlb.flush() == model.flush()
+        assert [(key, e.pfn) for key, e in tlb.items()] == list(
+            model.tables["entries"].items()
+        )
+        assert [(key, e.pfn) for key, e in tlb.huge_items()] == list(
+            model.tables["huge"].items()
+        )
+        assert tlb.stats() == {**model.stats, "resident": len(model.tables["entries"])}
 
     @SETTINGS
     @given(
@@ -181,78 +288,24 @@ class TestIndexedVsScan:
         start=st.integers(min_value=0, max_value=4 * HUGE_SPAN),
         width=st.integers(min_value=1, max_value=2 * HUGE_SPAN),
     )
+    # The edges of the span at 512: one page before it, its first and last
+    # pages, and one page past it.
+    @example(base=HUGE_SPAN, start=HUGE_SPAN - 1, width=1)
+    @example(base=HUGE_SPAN, start=HUGE_SPAN - 1, width=2)
+    @example(base=HUGE_SPAN, start=2 * HUGE_SPAN - 1, width=1)
+    @example(base=HUGE_SPAN, start=2 * HUGE_SPAN, width=1)
     def test_huge_overlap_boundaries(self, base, start, width):
         # A huge entry covers [base, base + HUGE_SPAN); it must drop iff
-        # that span intersects [start, start + width) -- under both paths.
+        # that span intersects [start, start + width).
         base -= base % HUGE_SPAN
-        results = []
-        for use in (True, False):
-            tlb = Tlb(capacity=8, pcid_enabled=True, use_index=use)
-            tlb.fill_huge(1, base, TlbEntry(pfn=1))
-            dropped = tlb.invalidate_range(1, start, start + width)
-            results.append((dropped, tlb.huge_items()))
-        assert results[0] == results[1]
+        tlb = Tlb(capacity=8, pcid_enabled=True)
+        tlb.fill_huge(1, base, TlbEntry(pfn=1))
         overlaps = base < start + width and base + HUGE_SPAN > start
-        assert results[0][0] == (1 if overlaps else 0)
-
-    def test_invalidate_stress_matches_scan(self):
-        # 1,500 ops of fills across 24 PCIDs, wide range invalidations and
-        # per-PCID flushes on a 4,096-entry TLB: same drops, residents (in
-        # order) and counters with the index on and off.
-        indexed = run_invalidate_stress(1_500, use_index=True)
-        assert indexed == run_invalidate_stress(1_500, use_index=False)
-        assert indexed["drops"] > 0 and indexed["entries"]
-
-
-class TestIndexEndToEnd:
-    """``use_tlb_index`` on vs off through a whole booted system: identical
-    modelled behaviour."""
-
-    @pytest.mark.parametrize("seed", [3, 11, 27])
-    def test_fuzz_plans_identical(self, seed):
-        plan = generate_plan(seed, 40, n_cores=4, n_procs=2)
-        indexed = run_one("latr", plan, use_tlb_index=True)
-        scan = run_one("latr", plan, use_tlb_index=False)
-        assert indexed.clean, (indexed.violations, indexed.errors)
-        assert scan.clean, (scan.violations, scan.errors)
-        assert indexed.stats_summary == scan.stats_summary
-        assert indexed.snapshot == scan.snapshot
-        assert indexed.sim_time_ns == scan.sim_time_ns
-
-    def test_tlb_stats_identical(self):
-        def run(use_tlb_index):
-            system = build_system("latr", cores=4, use_tlb_index=use_tlb_index)
-            kernel = system.kernel
-            _proc, tasks = make_proc(system)
-            sc = kernel.syscalls
-
-            def body():
-                t0, c0 = tasks[0], kernel.machine.core(0)
-                t1, c1 = tasks[1], kernel.machine.core(1)
-                for _ in range(4):
-                    vr = yield from sc.mmap(t0, c0, 8 * PAGE_SIZE)
-                    yield from sc.touch_pages(t0, c0, vr, write=True)
-                    yield from sc.touch_pages(t1, c1, vr)
-                    yield from sc.munmap(t0, c0, vr)
-
-            run_to_completion(system, body())
-            drain(system, ms=8)
-            return (
-                kernel.stats.summary(),
-                [core.tlb.stats() for core in kernel.machine.cores],
-                system.sim.now,
-            )
-
-        assert run(True) == run(False)
+        assert tlb.invalidate_range(1, start, start + width) == (1 if overlaps else 0)
+        assert len(tlb.huge_items()) == (0 if overlaps else 1)
 
 
 class TestAccessors:
-    def test_cached_vpns(self):
-        tlb = Tlb(capacity=8)
-        for vpn in (1, 5, 9):
-            fill(tlb, vpn)
-        assert sorted(tlb.cached_vpns(1)) == [1, 5, 9]
-
     def test_items_and_stats(self):
         tlb = Tlb(capacity=8)
         fill(tlb, 1)
@@ -279,9 +332,8 @@ class TestVersions:
     versions (the snapshot restore and the model checker's fragment cache
     key on them); a drop must mint new ones."""
 
-    @pytest.mark.parametrize("use_index", [True, False], ids=["index", "scan"])
-    def test_miss_keeps_versions_and_hit_changes_both(self, use_index):
-        tlb = Tlb(capacity=8, pcid_enabled=True, use_index=use_index)
+    def test_miss_keeps_versions_and_hit_changes_both(self):
+        tlb = Tlb(capacity=8, pcid_enabled=True)
         fill(tlb, 5)
         fill(tlb, 6)
         tlb.fill_huge(1, HUGE_SPAN, TlbEntry(pfn=77))

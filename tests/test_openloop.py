@@ -9,6 +9,8 @@ import random
 
 import pytest
 
+from helpers import set_batched_faults  # noqa: F401
+
 from repro.sim.arrivals import (
     MarkovModulatedArrivals,
     PoissonArrivals,
@@ -114,7 +116,7 @@ class TestOpenLoopWorkload:
         assert a.metrics == b.metrics
         assert a.counters == b.counters
 
-    def test_batched_and_generic_fault_paths_agree(self, monkeypatch):
+    def test_batched_and_generic_fault_paths_agree(self, monkeypatch, set_batched_faults):
         # The batched touch_pages path is a wall-clock optimisation only:
         # every modelled result, and every core's TLB hit and miss counts,
         # must match the per-page generic path, on anonymous (open-loop)
@@ -133,18 +135,19 @@ class TestOpenLoopWorkload:
                 module, "warm_build_system", recording(module.warm_build_system)
             )
 
-        def leg(run, *args, **kwargs):
+        def leg(batched, run, *args, **kwargs):
+            set_batched_faults(batched)
             result = run(*args, **kwargs)
             tlbs = [core.tlb.stats() for core in systems[-1].machine.cores]
             return result.metrics, result.counters, tlbs
 
-        assert leg(run_openloop, "linux", use_batched_faults=True, **SMALL) == leg(
-            run_openloop, "linux", use_batched_faults=False, **SMALL
+        assert leg(True, run_openloop, "linux", **SMALL) == leg(
+            False, run_openloop, "linux", **SMALL
         )
         apache = dict(cores=2, warmup_ms=2, duration_ms=5)
         for mechanism in ("linux", "abis", "latr"):
-            batched = leg(run_apache, mechanism, {"use_batched_faults": True}, **apache)
-            generic = leg(run_apache, mechanism, {"use_batched_faults": False}, **apache)
+            batched = leg(True, run_apache, mechanism, **apache)
+            generic = leg(False, run_apache, mechanism, **apache)
             assert batched == generic, mechanism
 
     def test_overload_grows_backlog_and_tail(self):

@@ -41,13 +41,18 @@ from repro.workloads.stress import run_sweep_stress
 # ---------------------------------------------------------------------------
 
 
+#: The 50-op plans of seeds 1-3, and seed 1's 60-op plan (the scope of
+#: the mutation tests below).
+_PLANS = [(1, 50), (2, 50), (3, 50), (1, 60)]
+
+
 class TestEscapeHatch:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_numapte_off_degenerates_to_linux_exactly(self, seed):
+    @pytest.mark.parametrize("seed, ops", _PLANS, ids=["1", "2", "3", "1-60ops"])
+    def test_numapte_off_degenerates_to_linux_exactly(self, seed, ops):
         """With replication forced off, numaPTE is LinuxShootdown plus a
         facade that is never built: event schedule, stats, and end state
         must all be bit-identical to the Linux baseline."""
-        plan = generate_plan(seed, 50)
+        plan = generate_plan(seed, ops)
         base = run_one("linux", plan)
         off = run_one("numapte", plan, use_pt_replication=False)
         assert base.clean and off.clean
@@ -67,20 +72,20 @@ class TestEscapeHatch:
         assert on.snapshot == base.snapshot
 
     def test_on_mode_actually_replicates(self):
-        plan = generate_plan(1, 50)
-        on = run_one("numapte", plan)
-        counters = {
-            k: v for k, v in on.stats_summary.items() if k.startswith("count.pt.")
-        }
-        assert counters.get("count.pt.replica.updates", 0) > 0
-        assert counters.get("count.pt.walk.local", 0) > 0
-        # The whole point: replicated walks are never remote.
-        assert "count.pt.walk.remote" not in counters
+        for ops in (50, 60):
+            on = run_one("numapte", generate_plan(1, ops))
+            counters = {
+                k: v for k, v in on.stats_summary.items() if k.startswith("count.pt.")
+            }
+            assert counters.get("count.pt.replica.updates", 0) > 0, ops
+            assert counters.get("count.pt.walk.local", 0) > 0, ops
+            # The whole point: replicated walks are never remote.
+            assert "count.pt.walk.remote" not in counters, ops
 
     def test_off_mode_run_has_no_replication_counters(self):
-        plan = generate_plan(1, 50)
-        off = run_one("numapte", plan, use_pt_replication=False)
-        assert not any(k.startswith("count.pt.") for k in off.stats_summary)
+        for ops in (50, 60):
+            off = run_one("numapte", generate_plan(1, ops), use_pt_replication=False)
+            assert not any(k.startswith("count.pt.") for k in off.stats_summary), ops
 
 
 # ---------------------------------------------------------------------------

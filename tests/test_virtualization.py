@@ -12,8 +12,7 @@ Covers the virtualization axis end to end:
   latency table, parameterized across hugepage short-circuits,
 * snapshot/restore round-trips host-table state hash-exactly,
 * the ``broken_ept_shootdown`` mutation is caught by the invariant
-  monitor (the fuzzer leg; the model-checker leg lives in the mc
-  mutation audit, exercised by ``repro ci``'s virt-smoke).
+  monitor (the fuzzer leg) and by the model checker's mutation audit.
 """
 
 from __future__ import annotations
@@ -40,13 +39,18 @@ from repro.verify.mc import McConfig, McScope, run_mc
 # ---------------------------------------------------------------------------
 
 
+#: The 50-op plans of seeds 1-3, and seed 1's 60-op plan (the scope of
+#: the mutation tests below).
+_PLANS = [(1, 50), (2, 50), (3, 50), (1, 60)]
+
+
 class TestEscapeHatch:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_virtualization_off_is_flat_exactly(self, seed):
+    @pytest.mark.parametrize("seed, ops", _PLANS, ids=["1", "2", "3", "1-60ops"])
+    def test_virtualization_off_is_flat_exactly(self, seed, ops):
         """With virtualization forced off, every added charge site returns
         zero and no host table exists: event schedule, stats, and end
         state must all be bit-identical to the flat baseline."""
-        plan = generate_plan(seed, 50)
+        plan = generate_plan(seed, ops)
         base = run_one("linux", plan)
         off = run_one("linux", plan, use_virtualization=False)
         assert base.clean and off.clean
@@ -66,9 +70,9 @@ class TestEscapeHatch:
         assert s.get("count.virt.host_inval.entries", 0) > 0
 
     def test_off_mode_run_has_no_virt_counters(self):
-        plan = generate_plan(1, 50)
-        off = run_one("latr", plan, use_virtualization=False)
-        assert not any(k.startswith("count.virt.") for k in off.stats_summary)
+        for ops in (50, 60):
+            off = run_one("latr", generate_plan(1, ops), use_virtualization=False)
+            assert not any(k.startswith("count.virt.") for k in off.stats_summary), ops
 
     def test_lazy_host_invalidation_defers_cost(self):
         """LATR's host policy writes one state synchronously and charges
@@ -310,7 +314,7 @@ class TestSnapshotRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Mutation detection (fuzzer leg; MC leg: repro ci virt-smoke)
+# Mutation detection (fuzzer and MC legs)
 # ---------------------------------------------------------------------------
 
 

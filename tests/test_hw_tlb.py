@@ -332,7 +332,12 @@ class TestVersions:
     versions (the snapshot restore and the model checker's fragment cache
     key on them); a drop must mint new ones."""
 
-    def test_miss_keeps_versions_and_hit_changes_both(self):
+    @pytest.mark.parametrize("pad", [0, 400], ids=["index", "scan"])
+    def test_miss_keeps_versions_and_hit_changes_both(self, pad):
+        # ``index``: each range is no wider than the resident count, so
+        # invalidate_range probes its keys in the dict; ``scan``: ``pad``
+        # widens it past that count (still short of the huge entry), so
+        # it takes the comparison pass over the resident keys.
         tlb = Tlb(capacity=8, pcid_enabled=True)
         fill(tlb, 5)
         fill(tlb, 6)
@@ -343,15 +348,15 @@ class TestVersions:
 
         before = versions()
         assert tlb.invalidate_page(1, 9) is False
-        assert tlb.invalidate_range(1, 7, 9) == 0
-        assert tlb.invalidate_range(2, 5, 7) == 0
+        assert tlb.invalidate_range(1, 7, 9 + pad) == 0
+        assert tlb.invalidate_range(2, 5, 7 + pad) == 0
         assert versions() == before
         assert tlb.invalidations == 0
 
         seen = [before]
         for drop in (
             lambda: tlb.invalidate_page(1, 5),
-            lambda: tlb.invalidate_range(1, 6, 7),
+            lambda: tlb.invalidate_range(1, 6, 7 + pad),
             lambda: tlb.invalidate_page(1, HUGE_SPAN + 3),
         ):
             assert drop()

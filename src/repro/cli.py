@@ -20,6 +20,7 @@ import time
 from typing import List, Optional
 
 from .experiments import available_experiments, run_experiment, run_many
+from .experiments.runner import WorkerDiedError
 
 # Tier-1 line-coverage floor enforced by `repro ci` when pytest-cov is
 # installed (the `.[dev]` extra). Set to two points below the measured
@@ -204,8 +205,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     exp_ids = known if args.experiment == "all" else [args.experiment]
     sink = open(args.output, "a") if args.output else None
+    step = args.experiment
     try:
         if args.jobs is not None and args.jobs != 1:
+            step = f"{args.experiment} on {args.jobs or 'auto'} jobs"
             # Sharded backend: the union of every experiment's cells goes
             # into one worker pool; tables come back in experiment order,
             # byte-identical to the serial path.
@@ -225,11 +228,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         else:
             for exp_id in exp_ids:
+                step = f"experiment {exp_id}"
                 started = time.time()
                 result = run_experiment(exp_id, fast=args.fast)
                 elapsed = time.time() - started
                 _emit(exp_id, result, sink, args.csv_dir)
                 print(f"[{exp_id} done in {elapsed:.1f}s]\n")
+    except WorkerDiedError as exc:
+        # A cell that raised keeps its traceback (a bug); a worker that
+        # vanished left none to show.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print(f"interrupted: {step}", file=sys.stderr)
+        return 2
     finally:
         if sink:
             sink.close()
@@ -311,7 +323,11 @@ def _run_mc_command(args) -> int:
     )
     started = time.time()
     jobs = 1 if args.jobs is None else args.jobs
-    result = run_mc(config, jobs=resolve_jobs(jobs) if jobs != 1 else 1)
+    try:
+        result = run_mc(config, jobs=resolve_jobs(jobs) if jobs != 1 else 1)
+    except KeyboardInterrupt:
+        print("interrupted: mc", file=sys.stderr)
+        return 2
     text = result.render()
     print(text)
     print(f"[mc done in {time.time() - started:.1f}s]")
@@ -350,7 +366,11 @@ def _run_ci_command(args) -> int:
         ]
     started = time.time()
     print("ci: tier-1 pytest ...", flush=True)
-    code = subprocess.call(argv, cwd=repo_root, env=env)
+    try:
+        code = subprocess.call(argv, cwd=repo_root, env=env)
+    except KeyboardInterrupt:
+        print("ci: interrupted during tier-1 pytest", file=sys.stderr)
+        return 2
     status = "ok" if code == 0 else f"FAILED (exit {code})"
     print(f"ci: tier-1 pytest: {status} [{time.time() - started:.1f}s]", flush=True)
     return code

@@ -57,8 +57,9 @@ class AbisShootdown(TLBCoherence):
                 sharing_ids |= owners
         sharing_ids.discard(core.id)
         machine = self.kernel.machine
+        cpumask = mm.cpumask
         targets = []
-        for core_id in sorted(sharing_ids & mm.cpumask):
+        for core_id in sorted(c for c in sharing_ids if cpumask >> c & 1):
             target = machine.core(core_id)
             if target.lazy_tlb_mode:
                 target.needs_flush_on_wake = True
@@ -81,7 +82,7 @@ class AbisShootdown(TLBCoherence):
         yield from core.execute(vrange.n_pages * self.lookup_per_page_ns)
         targets = self._targets_for_range(core, mm, vrange)
         self._stats.counter("abis.ipis_saved").add(
-            max(0, len(mm.shootdown_targets(core.id)) - len(targets))
+            max(0, (mm.cpumask & ~(1 << core.id)).bit_count() - len(targets))
         )
         self._stats.counter("shootdown.initiated").add()
         self._stats.rate("shootdowns").hit()

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, List, Optional, Set
+from itertools import compress
+from typing import TYPE_CHECKING, Callable, Generator, List, Optional
 
 from ..mm.addr import VirtRange
-from ..mm.mmstruct import MmStruct
+from ..mm.mmstruct import MmStruct, mask_selectors
 from ..sim.engine import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -140,33 +141,34 @@ class TLBCoherence:
         return self.kernel.stats
 
     def select_targets(self, initiator: "Core", mm: MmStruct) -> List["Core"]:
-        """Remote cores that may cache this mm's translations.
+        """Remote cores that may cache this mm's translations, in ascending
+        id order.
 
         Implements Linux's lazy-TLB idle optimization (paper section 2.3):
         idle cores are skipped and instead flagged to full-flush on wake, so
         no mechanism ever interrupts an idle core.
         """
-        return self._cores_of(sorted(self._target_set(initiator, mm)))
+        return self._cores_in(self._target_set(initiator, mm))
 
-    def _target_set(self, initiator: "Core", mm: MmStruct) -> Set[int]:
-        """:meth:`select_targets` as a set of core ids: the mm's cpumask
-        minus the initiator and the machine's lazy-TLB cores, in set
+    def _target_set(self, initiator: "Core", mm: MmStruct) -> int:
+        """:meth:`select_targets` as a core bitmap: the mm's cpumask minus
+        the initiator's bit and the machine's lazy-TLB cores, in int
         arithmetic rather than a per-core loop (an mm on the fleet box is
-        live on hundreds of cores)."""
+        live on hundreds of cores). Only the idle cores' bits are visited,
+        to flag them and count them in ``shootdown.idle_skipped``."""
         machine = self.kernel.machine
-        others = mm.cpumask.difference((initiator.id,))
-        idle = others.intersection(machine.lazy_cores)
+        others = mm.cpumask & ~(1 << initiator.id)
+        idle = others & machine.lazy_cores
         if idle:
-            cores = machine.cores
-            for core_id in idle:
-                cores[core_id].needs_flush_on_wake = True
-            self._stats.counter("shootdown.idle_skipped").add(len(idle))
-            others -= idle
+            for core in compress(machine.cores, mask_selectors(idle)):
+                core.needs_flush_on_wake = True
+            self._stats.counter("shootdown.idle_skipped").add(idle.bit_count())
+            others ^= idle
         return others
 
-    def _cores_of(self, core_ids: List[int]) -> List["Core"]:
-        cores = self.kernel.machine.cores
-        return [cores[core_id] for core_id in core_ids]
+    def _cores_in(self, mask: int) -> List["Core"]:
+        """The machine's cores whose bits are set in ``mask``, ascending."""
+        return list(compress(self.kernel.machine.cores, mask_selectors(mask)))
 
     def local_invalidate(self, core: "Core", mm: MmStruct, vrange: VirtRange) -> int:
         """Invalidate the initiator's own TLB; returns the cost in ns."""

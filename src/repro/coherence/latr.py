@@ -33,15 +33,16 @@ having every core search for it:
   sweep;
 * a per-core **inbox**: posting makes the state's global slot id
   (``owner_core << slot_bits | slot``, which sorts into the full scan's
-  visit order) pending at each target core, and the queue's
-  ``_remaining_a`` records how many targets have yet to sweep it. A
-  narrow state (at most half the machine) is appended to each target's
-  inbox list. A wide one goes once into a seq-ordered wide log, plus the
-  exclusion set of each core it does not target: a core's share of the
-  log is the tail after its cursor, minus its exclusions, so a post costs
-  the smaller side of its mask. A sweep drains only what is pending at
-  its core, so a (core, state) pair costs the simulator one small-int
-  decrement instead of a test and a clear on a machine-wide int bitmask;
+  visit order) pending at each target core, and one **retire table**,
+  a list indexed by global slot id, records how many targets have yet to
+  sweep it. A narrow state (at most half the machine) is appended to each
+  target's inbox list. A wide one goes once into a seq-ordered wide log,
+  plus the exclusion set of each core it does not target: a core's share
+  of the log is the tail after its cursor, minus its exclusions, so a
+  post costs the smaller side of its mask. A sweep drains only what is
+  pending at its core, so a (core, state) pair costs the simulator one
+  list decrement instead of a test and a clear on a machine-wide int
+  bitmask;
 * per-owner-socket sorted seq lists of the active states. A sweep pays a
   cross-socket pull for every active remote-socket state posted after its
   cursor -- a bisect per socket. The cursor is what retires the per-state
@@ -55,10 +56,12 @@ because a sweep moves its cursor past every state it drains.
 
 Side effects keep the full scan's order. ``Signal.succeed`` runs waiters
 inline, so a ``done`` callback can resume a process in the middle of a
-sweep: deferred migration PTE changes, per-page invalidations and
-deactivations therefore run over the drained ids sorted into full-scan
-order. The sweep stays pure stdlib: numpy would cost more to import than
-the whole set-up of a small run.
+sweep: deferred migration PTE changes and per-page invalidations run over
+the drained ids sorted into full-scan order. A full-flush sweep decrements
+the retire table over its whole inbox in one pass and sorts only the ids
+that reached zero, then deactivates those in full-scan order. The sweep
+stays pure stdlib: numpy would cost more to import than the whole set-up
+of a small run.
 
 None of this changes a modelled result: every ns cost, counter, latency and
 experiment row is bit-for-bit identical to the full scan (gated by the
@@ -72,11 +75,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from itertools import compress, filterfalse
-from typing import Callable, Dict, Generator, List, Optional, Set
+from typing import Callable, Dict, Generator, List, Optional
 
 from ..mm.addr import PAGE_SHIFT, VirtRange
 from ..mm.frames import FrameBatch
-from ..mm.mmstruct import MmStruct
+from ..mm.mmstruct import MmStruct, cpu_ids, mask_selectors
 from ..sim.engine import Signal, Timeout
 from .base import MECHANISM_PROPERTIES, ShootdownReason, TLBCoherence
 from .states import (
@@ -91,17 +94,6 @@ from .states import (
 
 #: Cacheline cost of one state record (68 B spans two 64 B lines).
 STATE_LINES = 2
-
-#: ``bin()`` digits to the 0/1 bytes ``itertools.compress`` selects with.
-_BIN_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bits_of(mask: int):
-    """Set bit positions of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class LatrCoherence(TLBCoherence):
@@ -161,6 +153,9 @@ class LatrCoherence(TLBCoherence):
         self._excluded: Dict[int, set] = {}
         #: socket -> sorted seqs of the active states its cores posted.
         self._socket_seqs: List[List[int]] = []
+        #: The retire table: global slot id -> targets that have yet to
+        #: sweep the state in that slot (0 under the full scan).
+        self._remaining: List[int] = []
         #: Global slot ids of posted MIGRATION states whose PTE change is
         #: still deferred (a superset: the queue's flags are authoritative).
         self._unapplied: set = set()
@@ -189,6 +184,7 @@ class LatrCoherence(TLBCoherence):
         #: A global slot id is ``owner_core << _slot_bits | slot``.
         self._slot_bits = (self.queue_depth - 1).bit_length()
         self._slot_mask = (1 << self._slot_bits) - 1
+        self._remaining = [0] * (n_cores << self._slot_bits)
         #: Every core's bit (a wide state's exclusions are its complement).
         self._full_mask = (1 << n_cores) - 1
         # The sweep fires on every tick and context switch: resolve its
@@ -237,7 +233,7 @@ class LatrCoherence(TLBCoherence):
         idx = state.slot_idx
         gid = queue.core_id << self._slot_bits | idx
         mask = queue._mask_a[idx]
-        queue._remaining_a[idx] = mask.bit_count()
+        self._remaining[gid] = mask.bit_count()
         self._fan_out(gid, state.seq, mask)
         insort(self._socket_seqs[self._socket_of[queue.core_id]], state.seq)
         flags = queue._flags_a[idx]
@@ -250,14 +246,13 @@ class LatrCoherence(TLBCoherence):
         and to the exclusion set of each core it does not target: per
         post, the work is the smaller side of the mask."""
         if 2 * mask.bit_count() <= len(self._inboxes):
-            digits = bin(mask)[:1:-1].encode().translate(_BIN_DIGITS)
-            for inbox in compress(self._inboxes, digits):
+            for inbox in compress(self._inboxes, mask_selectors(mask)):
                 inbox.append(gid)
             return
         at = bisect_right(self._wide_seqs, seq)
         self._wide_seqs.insert(at, seq)
         self._wide_gids.insert(at, gid)
-        for core_id in _bits_of(self._full_mask ^ mask):
+        for core_id in cpu_ids(self._full_mask ^ mask):
             self._excluded.setdefault(core_id, set()).add(gid)
 
     def _wide_at(self, seq: int) -> int:
@@ -286,19 +281,19 @@ class LatrCoherence(TLBCoherence):
         if wide_at >= 0:
             del self._wide_seqs[wide_at]
             del self._wide_gids[wide_at]
-            for core_id in _bits_of(self._full_mask ^ mask):
+            for core_id in cpu_ids(self._full_mask ^ mask):
                 self._unexclude(core_id, gid)
-        if queue._remaining_a[idx]:
+        if self._remaining[gid]:
             # Retired before every target swept it (a fallback, a mutation,
             # a test): freeze the mask it reads as now and drop the
             # targets' pending inbox entries.
             live = self._pending_mask(mask, state.seq)
             if wide_at < 0:
-                for core_id in _bits_of(live):
+                for core_id in cpu_ids(live):
                     inbox = self._inboxes[core_id]
                     if gid in inbox:
                         inbox.remove(gid)
-            queue._remaining_a[idx] = 0
+            self._remaining[gid] = 0
             queue._mask_a[idx] = live
         else:
             queue._mask_a[idx] = 0
@@ -352,14 +347,14 @@ class LatrCoherence(TLBCoherence):
         live = self.live_mask(queue, idx)
         if mask & ~live:
             raise ValueError("a posted LATR state's cpu mask can only shrink")
-        for core_id in _bits_of(live & ~mask):
+        for core_id in cpu_ids(live & ~mask):
             self._unpost(queue, idx, core_id)
 
     def _unpost(self, queue: SoaLatrQueue, idx: int, core_id: int) -> None:
         """``core_id`` no longer has to sweep the active state in ``idx``."""
         queue._mask_a[idx] &= ~(1 << core_id)
-        queue._remaining_a[idx] -= 1
         gid = queue.core_id << self._slot_bits | idx
+        self._remaining[gid] -= 1
         if self._wide_at(queue._seq_a[idx]) >= 0:
             self._excluded.setdefault(core_id, set()).add(gid)
             return
@@ -398,8 +393,8 @@ class LatrCoherence(TLBCoherence):
     ) -> Generator:
         start = self.kernel.sim.now
         yield from core.execute(self.local_invalidate(core, mm, vrange))
-        target_ids = self._target_set(core, mm)
-        if not target_ids:
+        targets = self._target_set(core, mm)
+        if not targets:
             # No remote core can cache these translations; the local TLB is
             # already clean, so immediate reuse is safe (same as Linux's
             # no-IPI path). Still one initiated free-class shootdown, so the
@@ -416,7 +411,7 @@ class LatrCoherence(TLBCoherence):
         state = SoaLatrState(
             vrange=vrange,
             mm=mm,
-            cpu_bitmask=self._mask_of(target_ids),
+            cpu_bitmask=targets,
             flag=LatrFlag.FREE,
             owner_core=core.id,
             posted_at=self.kernel.sim.now,
@@ -430,8 +425,9 @@ class LatrCoherence(TLBCoherence):
             self._stats.counter("latr.fallback_ipi").add()
             self._stats.counter("shootdown.initiated").add()
             self._stats.rate("shootdowns").hit()
-            targets = self._cores_of(sorted(target_ids))
-            yield from self.ipi_round(core, mm, vrange, targets, ShootdownReason.FALLBACK)
+            yield from self.ipi_round(
+                core, mm, vrange, self._cores_in(targets), ShootdownReason.FALLBACK
+            )
             yield from core.execute(FrameBatch.units_of(pfns) * self._lat.page_free_ns)
             self.kernel.release_frames(pfns)
             if vrange_to_free is not None:
@@ -444,7 +440,7 @@ class LatrCoherence(TLBCoherence):
         if self.kernel.tracer is not None:
             self.kernel.tracer.emit(
                 "latr", "state.post", core=core.id,
-                detail=f"pages={vrange.n_pages} targets={len(target_ids)}",
+                detail=f"pages={vrange.n_pages} targets={targets.bit_count()}",
             )
         mm.defer_frames(state.pfns)
         if vrange_to_free is not None:
@@ -466,13 +462,11 @@ class LatrCoherence(TLBCoherence):
         vrange: VirtRange,
         apply_pte_change: Callable[[], None],
     ) -> Generator:
-        target_ids = self._target_set(core, mm)
-        bitmask = self._mask_of(target_ids)
+        targets = self._target_set(core, mm)
         # The initiator participates too: its own TLB is invalidated at its
         # next tick, after the first sweeper applied the PTE change (paper
         # Figure 3b includes both cores in the bitmask).
-        if not core.lazy_tlb_mode:
-            bitmask |= 1 << core.id
+        bitmask = targets if core.lazy_tlb_mode else targets | 1 << core.id
         state = SoaLatrState(
             vrange=vrange,
             mm=mm,
@@ -509,8 +503,9 @@ class LatrCoherence(TLBCoherence):
             apply_pte_change()
             state.pte_applied = True
             yield from core.execute(self.local_invalidate(core, mm, vrange))
-            targets = self._cores_of(sorted(target_ids))
-            yield from self.ipi_round(core, mm, vrange, targets, ShootdownReason.FALLBACK)
+            yield from self.ipi_round(
+                core, mm, vrange, self._cores_in(targets), ShootdownReason.FALLBACK
+            )
             state.cpu_bitmask.clear()
             state.completed_at = self.kernel.sim.now
             state.active = False
@@ -531,12 +526,6 @@ class LatrCoherence(TLBCoherence):
         self._stats.counter("shootdown.initiated").add()
         self._stats.rate("shootdowns").hit()
         return state.done
-
-    @staticmethod
-    def _mask_of(core_ids: Set[int]) -> int:
-        """Int bitmask of distinct ``core_ids`` (a sum of distinct powers
-        of two is their OR)."""
-        return sum(map((1).__lshift__, core_ids))
 
     def _record_lazy_migration_latency(self, sig: Signal) -> None:
         state = sig.value
@@ -653,7 +642,6 @@ class LatrCoherence(TLBCoherence):
         # threshold always means a full flush.
         if n > threshold or self._pages_of(inbox) > threshold:
             core.tlb.flush()
-            inbox.sort()
             self._retire_in_order(inbox)
             return cost + self._full_flush_ns + n * 30
         inbox.sort()
@@ -662,6 +650,7 @@ class LatrCoherence(TLBCoherence):
         queues = self._queue_list
         bits = self._slot_bits
         slot_mask = self._slot_mask
+        remaining = self._remaining
         now = self._sim.now
         for gid in inbox:
             queue = queues[gid >> bits]
@@ -670,9 +659,8 @@ class LatrCoherence(TLBCoherence):
             npages = queue._npages_a[idx]
             tlb.invalidate_range(queue._slots[idx].mm.pcid, vpn, vpn + npages)
             cost += npages * invlpg_ns + 30
-            counts = queue._remaining_a
-            counts[idx] -= 1
-            if not counts[idx] and queue._flags_a[idx] & SOA_ACTIVE:
+            remaining[gid] -= 1
+            if not remaining[gid] and queue._flags_a[idx] & SOA_ACTIVE:
                 self._complete(queue._slots[idx], now)
         return cost
 
@@ -697,18 +685,28 @@ class LatrCoherence(TLBCoherence):
         return cost
 
     def _retire_in_order(self, inbox: List[int]) -> None:
-        """One sweeper fewer for every state in ``inbox`` (sorted into
-        full-scan order); the last one deactivates it."""
+        """One sweeper fewer for every state in ``inbox``, in any order:
+        one pass over the retire table collects the ids whose count
+        reaches zero, and only those are sorted and deactivated, in
+        full-scan order (the last sweeper deactivates a state)."""
+        remaining = self._remaining
+        finished = []
+        for gid in inbox:
+            left = remaining[gid] - 1
+            remaining[gid] = left
+            if not left:
+                finished.append(gid)
+        if not finished:
+            return
+        finished.sort()
         queues = self._queue_list
         bits = self._slot_bits
         slot_mask = self._slot_mask
         now = self._sim.now
-        for gid in inbox:
+        for gid in finished:
             queue = queues[gid >> bits]
             idx = gid & slot_mask
-            counts = queue._remaining_a
-            counts[idx] -= 1
-            if not counts[idx] and queue._flags_a[idx] & SOA_ACTIVE:
+            if queue._flags_a[idx] & SOA_ACTIVE:
                 self._complete(queue._slots[idx], now)
 
     @staticmethod

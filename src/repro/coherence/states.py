@@ -12,7 +12,9 @@ i.e. flat parallel arrays rather than one object per state. Hot per-slot
 fields live in parallel int lists / a flags bytearray on
 :class:`SoaLatrQueue` -- seq, the cpu mask as an int *bitmask*,
 active/pte_applied/reclaimed/migration as flag bits, base vpn / page count
-/ post timestamp, and the count of target cores still to sweep the state.
+/ post timestamp. The count of target cores still to sweep each state is
+not a queue field: the coherence index keeps it for every slot of every
+queue in one retire table.
 A :class:`SoaLatrState` is a ``__slots__`` handle that routes reads and
 writes to its slot while posted (``cpu_bitmask`` and ``pulled_by`` are live
 set-like views over int masks) and keeps the values when the slot is
@@ -42,7 +44,7 @@ import itertools
 from typing import Callable, Iterator, List, Optional
 
 from ..mm.addr import VirtRange
-from ..mm.mmstruct import MmStruct
+from ..mm.mmstruct import MmStruct, cpu_ids
 from ..sim.engine import Signal
 
 #: Paper defaults.
@@ -95,11 +97,7 @@ class _MaskView:
         return (self._get() >> core_id) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        mask = self._get()
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter(cpu_ids(self._get()))
 
     def __len__(self) -> int:
         return self._get().bit_count()
@@ -369,10 +367,8 @@ class SoaLatrQueue:
     The per-slot hot fields are parallel arrays indexed by slot:
     ``_seq_a`` (posting sequence, 0 = never used), ``_mask_a`` (int core
     bitmask), ``_flags_a`` (a bytearray of SOA_* bits),
-    ``_vpn_a``/``_npages_a`` (the virtual range), ``_posted_a`` (post
-    timestamps) and ``_remaining_a`` (target cores that still have to sweep
-    the state; maintained by the coherence index's inbox sweep, 0
-    otherwise). ``_slots`` keeps the state handles for the observers
+    ``_vpn_a``/``_npages_a`` (the virtual range) and ``_posted_a`` (post
+    timestamps). ``_slots`` keeps the state handles for the observers
     (snapshots, the model checker, mutations). ``index`` (when set) owns the cpu
     mask of an attached state: reads, writes and ``clear_cpu`` go through
     its ``live_mask`` / ``set_live_mask`` / ``clear_cpu``.
@@ -390,7 +386,6 @@ class SoaLatrQueue:
         self._vpn_a: List[int] = [0] * depth
         self._npages_a: List[int] = [0] * depth
         self._posted_a: List[int] = [0] * depth
-        self._remaining_a: List[int] = [0] * depth
         self._cursor = 0
         self.posts = 0
         self.full_rejections = 0

@@ -210,6 +210,11 @@ class CellExecutionError(RuntimeError):
         return (CellExecutionError, (self.cell, self.message))
 
 
+class WorkerDiedError(CellExecutionError):
+    """A cell's worker process died abruptly (``os._exit``, a signal, the
+    OOM killer): the pool broke, and no traceback of the cell exists."""
+
+
 def execute_cell(cell: RunCell) -> CellOutcome:
     """Run one cell in this process, timing it and counting its simulator
     events. This is the worker entry point for the sharded backend."""
@@ -250,18 +255,18 @@ def run_cells(cells: Sequence[RunCell], jobs: int = 1) -> List[CellOutcome]:
     ``jobs == 1`` runs everything inline in this process -- no pool, no
     pickling, byte-identical to the historical serial path. ``jobs > 1``
     shards the cells across a ``ProcessPoolExecutor``; completion order is
-    arbitrary but reassembly order is not. A cell that raises (or whose
-    worker process dies) surfaces as :class:`CellExecutionError` naming it.
+    arbitrary but reassembly order is not. A cell that raises surfaces as
+    :class:`CellExecutionError` naming it, with the cell's traceback; one
+    whose worker process dies as :class:`WorkerDiedError`.
     """
     jobs = resolve_jobs(jobs)
     if jobs == 1 or len(cells) <= 1:
         return [execute_cell(cell) for cell in cells]
 
-    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+    with worker_pool(min(jobs, len(cells))) as pool:
         futures = [(i, pool.submit(_execute_cell_in_worker, cell)) for i, cell in enumerate(cells)]
         for i, future in futures:
             try:
@@ -269,12 +274,26 @@ def run_cells(cells: Sequence[RunCell], jobs: int = 1) -> List[CellOutcome]:
             except CellExecutionError:
                 raise
             except BrokenProcessPool as exc:
-                raise CellExecutionError(
+                raise WorkerDiedError(
                     cells[i],
                     f"worker process died abruptly ({exc}); "
                     "a sibling cell may have crashed the pool",
                 ) from exc
     return [outcome for outcome in outcomes if outcome is not None]
+
+
+def worker_pool(max_workers: int):
+    """A process pool whose workers die at Ctrl-C, which reaches the whole
+    process group, instead of each running its queued cells first: an
+    interrupted run ends at once."""
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_DFL),
+    )
 
 
 # ---------------------------------------------------------------------------

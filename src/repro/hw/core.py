@@ -11,10 +11,13 @@ experiments.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Set
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..sim.engine import Simulator, Timeout
 from .tlb import Tlb
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .machine import Machine
 
 #: Granularity at which executing tasks absorb stolen interrupt time.
 EXEC_QUANTUM_NS = 20_000
@@ -29,7 +32,7 @@ class Core:
         socket: int,
         sim: Simulator,
         tlb: Tlb,
-        lazy_cores: Optional[Set[int]] = None,
+        machine: Optional["Machine"] = None,
     ):
         self.id = core_id
         self.socket = socket
@@ -37,10 +40,10 @@ class Core:
         self.tlb = tlb
         #: Task currently scheduled here (set by the scheduler); None == idle.
         self.current_task = None
-        #: Ids of the machine's cores in lazy-TLB mode, shared by all of its
-        #: cores: shootdown target selection subtracts it from an mm's
-        #: cpumask instead of asking every core.
-        self._lazy_cores: Set[int] = set() if lazy_cores is None else lazy_cores
+        #: The machine whose lazy-core mask (``Machine.lazy_cores``) this
+        #: core's lazy-TLB flag is kept in: shootdown target selection
+        #: masks it out of an mm's cpumask instead of asking every core.
+        self._machine = machine
         self.lazy_tlb_mode = False
         #: Deferred-flush flag: a shootdown was skipped while idle; flush on wake.
         self.needs_flush_on_wake = False
@@ -63,16 +66,18 @@ class Core:
         """Lazy-TLB idle mode (Linux's idle-core optimization, paper 2.3):
         while set, the core asks not to receive shootdown IPIs and will
         full-flush when it wakes. Setting it keeps the machine-wide
-        lazy-core set exact."""
+        lazy-core mask exact."""
         return self._lazy_tlb_mode
 
     @lazy_tlb_mode.setter
     def lazy_tlb_mode(self, value: bool) -> None:
         self._lazy_tlb_mode = value = bool(value)
-        if value:
-            self._lazy_cores.add(self.id)
-        else:
-            self._lazy_cores.discard(self.id)
+        machine = self._machine
+        if machine is not None:
+            if value:
+                machine.lazy_cores |= 1 << self.id
+            else:
+                machine.lazy_cores &= ~(1 << self.id)
 
     def deliver_interrupt(self, handler_cost_ns: int) -> int:
         """An interrupt arrives now; returns the absolute completion time.

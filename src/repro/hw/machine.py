@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Optional
 
 from ..sim.engine import Simulator
 from ..sim.stats import StatsRegistry
@@ -33,16 +33,17 @@ class Machine:
         self.stats = stats or StatsRegistry(sim, gate_latencies=gate_latencies)
         self.pcid_enabled = pcid_enabled
         self.topology = Topology(spec)
-        #: Ids of the cores currently in lazy-TLB mode. Only the
-        #: ``Core.lazy_tlb_mode`` setter and :meth:`set_lazy_flags` write it.
-        self.lazy_cores: Set[int] = set()
+        #: Bitmap of the cores currently in lazy-TLB mode (bit ``c`` for
+        #: core ``c``). Only the ``Core.lazy_tlb_mode`` setter and
+        #: :meth:`set_lazy_flags` write it.
+        self.lazy_cores = 0
         self.cores: List[Core] = [
             Core(
                 core_id=c,
                 socket=spec.socket_of(c),
                 sim=sim,
                 tlb=Tlb(spec.l1_dtlb_entries, pcid_enabled=pcid_enabled),
-                lazy_cores=self.lazy_cores,
+                machine=self,
             )
             for c in range(spec.total_cores)
         ]
@@ -56,12 +57,12 @@ class Machine:
         """Set every core's lazy-TLB flag at once (``flags`` in core-id
         order) and rebuild :attr:`lazy_cores` to match: a snapshot restore
         writes the whole machine, not one ``Core.lazy_tlb_mode`` per core."""
-        lazy = self.lazy_cores
-        lazy.clear()
+        lazy = 0
         for core, flag in zip(self.cores, flags):
             core._lazy_tlb_mode = flag
             if flag:
-                lazy.add(core.id)
+                lazy |= 1 << core.id
+        self.lazy_cores = lazy
 
     @property
     def n_cores(self) -> int:

@@ -8,7 +8,7 @@ sockets and the direct cross link are one hop, everything else two.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from .spec import MachineSpec
 
@@ -20,11 +20,10 @@ class Topology:
         self.spec = spec
         self._socket_of: List[int] = [spec.socket_of(c) for c in range(spec.total_cores)]
         self._hops = self._build_socket_hops(spec.sockets)
-        #: Per socket, the ids of its cores.
-        self._socket_cores: List[frozenset] = [
-            frozenset(c for c, s in enumerate(self._socket_of) if s == socket)
-            for socket in range(spec.sockets)
-        ]
+        #: Per socket, the bitmap of its cores.
+        self._socket_masks: List[int] = [0] * spec.sockets
+        for core_id, socket in enumerate(self._socket_of):
+            self._socket_masks[socket] |= 1 << core_id
 
     @staticmethod
     def _build_socket_hops(sockets: int) -> List[List[int]]:
@@ -53,20 +52,19 @@ class Topology:
         """QPI hops between two cores (0 when on the same socket)."""
         return self._hops[self._socket_of[core_a]][self._socket_of[core_b]]
 
-    def sharer_hop_counts(self, core_id: int, sharers: Set[int]) -> Dict[int, int]:
+    def sharer_hop_counts(self, core_id: int, sharers: int) -> Dict[int, int]:
         """Histogram {hop distance: count} from ``core_id`` to every *other*
-        core in the set ``sharers`` (hop distances with no sharer are
-        absent). Equivalent to counting ``core_hops(core_id, s)`` per
-        sharer, but done as one set intersection per socket: rmap
-        bookkeeping sums a per-sharer cost on every munmap, and an mm on
-        the fleet box is live on hundreds of cores."""
-        own = self._socket_of[core_id]
-        row = self._hops[own]
+        core in the bitmap ``sharers`` (hop distances with no sharer are
+        absent; the keys come in socket order). Equivalent to counting
+        ``core_hops(core_id, s)`` per sharer, but done as one AND and one
+        ``bit_count`` per socket: rmap bookkeeping sums a per-sharer cost
+        on every munmap, and an mm on the fleet box is live on hundreds of
+        cores."""
+        row = self._hops[self._socket_of[core_id]]
+        sharers &= ~(1 << core_id)
         counts: Dict[int, int] = {}
-        for socket, members in enumerate(self._socket_cores):
-            n = len(members.intersection(sharers))
-            if socket == own and core_id in sharers:
-                n -= 1
+        for socket, members in enumerate(self._socket_masks):
+            n = (members & sharers).bit_count()
             if n:
                 hops = row[socket]
                 counts[hops] = counts.get(hops, 0) + n

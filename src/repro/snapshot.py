@@ -187,7 +187,7 @@ def _mm_snapshot(mm) -> Tuple:
          [(v, v.range, v.prot, v.kind, v.file_key, v.file_offset, v.huge)
           for v in vmas]),
         (mm.mmap_sem.acquisitions, mm.mmap_sem.contended_acquisitions),
-        set(mm.cpumask), mm.users, mm._bump, list(mm._free_ranges),
+        mm.cpumask, mm.users, mm._bump, list(mm._free_ranges),
         list(mm.lazy_vranges), list(mm.lazy_frames), mm.map_generation,
         host_snap,
     )
@@ -242,7 +242,7 @@ def _mm_restore(mm, snap: Tuple) -> None:
     mm.mmap_sem._held = False
     mm.mmap_sem._waiters.clear()
     mm.mmap_sem.acquisitions, mm.mmap_sem.contended_acquisitions = sem_counts
-    mm.cpumask = set(cpumask)
+    mm.cpumask = cpumask
     mm.users = users
     mm._bump = bump
     mm._free_ranges = list(free_ranges)
@@ -328,7 +328,6 @@ def _latr_snapshot(coh: LatrCoherence) -> Tuple:
             q.active_count, dict(q._active_map),
             list(q._seq_a), list(q._mask_a), bytes(q._flags_a),
             list(q._vpn_a), list(q._npages_a), list(q._posted_a),
-            list(q._remaining_a),
         )
         for core_id, q in coh.queues.items()
     }
@@ -342,6 +341,7 @@ def _latr_snapshot(coh: LatrCoherence) -> Tuple:
         {core_id: set(gids) for core_id, gids in coh._excluded.items()},
         [list(seqs) for seqs in coh._socket_seqs],
         set(coh._unapplied),
+        list(coh._remaining),
         coh.cold_sweep_extra_ns,
     )
 
@@ -350,7 +350,7 @@ def _latr_restore(coh: LatrCoherence, snap: Tuple) -> None:
     (state_snaps, queue_snaps, pending_reclaim, migration_states,
      reclaimd_started, active_count, last_posted_seq, sweep_cursor,
      inboxes, wide_seqs, wide_gids, excluded, socket_seqs, unapplied,
-     cold_extra) = snap
+     remaining, cold_extra) = snap
     for (state, cpu_mask, pulled_mask, flags, completed_at, slot_idx, queue,
          attached, done_snap) in state_snaps:
         # Direct slot writes: while attached the authoritative words live in
@@ -365,8 +365,8 @@ def _latr_restore(coh: LatrCoherence, snap: Tuple) -> None:
         state._attached = attached
         _signal_restore(done_snap)
     for core_id, (slots, cursor, posts, rejections, active_n, active_map,
-                  seq_a, mask_a, flags_b, vpn_a, npages_a, posted_a,
-                  remaining_a) in queue_snaps.items():
+                  seq_a, mask_a, flags_b, vpn_a, npages_a,
+                  posted_a) in queue_snaps.items():
         q = coh.queues[core_id]
         q._slots = list(slots)
         q._cursor = cursor
@@ -380,7 +380,6 @@ def _latr_restore(coh: LatrCoherence, snap: Tuple) -> None:
         q._vpn_a = list(vpn_a)
         q._npages_a = list(npages_a)
         q._posted_a = list(posted_a)
-        q._remaining_a = list(remaining_a)
     coh._pending_reclaim = list(pending_reclaim)
     coh._migration_states = list(migration_states)
     coh._reclaimd_started = reclaimd_started
@@ -393,6 +392,7 @@ def _latr_restore(coh: LatrCoherence, snap: Tuple) -> None:
     coh._excluded = {core_id: set(gids) for core_id, gids in excluded.items()}
     coh._socket_seqs = [list(seqs) for seqs in socket_seqs]
     coh._unapplied = set(unapplied)
+    coh._remaining = list(remaining)
     coh.cold_sweep_extra_ns = cold_extra
 
 

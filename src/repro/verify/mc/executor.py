@@ -53,6 +53,7 @@ from ...hw.spec import preset
 from ...kernel.autonuma import AutoNuma
 from ...kernel.kernel import Kernel
 from ...mm.addr import PAGE_SIZE, VirtRange
+from ...mm.mmstruct import cpu_ids
 from ...sim.engine import Simulator
 from ...snapshot import SnapshotError, restore_kernel, snapshot_kernel
 from ..monitor import InvariantMonitor
@@ -484,7 +485,7 @@ class McExecutor:
         )
         mm_piece = (
             vmas,
-            sorted(mm.cpumask),
+            cpu_ids(mm.cpumask),
             [(r.start, r.end) for r in mm.lazy_vranges],
             list(mm.lazy_frames),
             mm.map_generation,
@@ -615,22 +616,25 @@ class McExecutor:
         memo reference, which would change the hashed bytes."""
         ids = self._mask_bits.get(mask)
         if ids is None:
-            ids = self._mask_bits[mask] = [
-                core_id for core_id in range(mask.bit_length()) if mask >> core_id & 1
-            ]
+            ids = self._mask_bits[mask] = cpu_ids(mask)
         return ids
 
     def _canonical_inboxes(self):
         """The inbox sweep's own bookkeeping (empty under the full scan),
         in global slot ids -- (owner, slot), seq-free: each core's inbox,
         the wide log, each core's exclusions, and every slot's remaining
-        count."""
+        count (the retire table, one ``depth``-long row per queue)."""
         co = self.coherence
+        remaining = co._remaining
+        bits = co._slot_bits
         return (
             tuple(tuple(sorted(inbox)) for inbox in co._inboxes),
             tuple(co._wide_gids),
             tuple(sorted((c, tuple(sorted(g))) for c, g in co._excluded.items())),
-            tuple(tuple(q._remaining_a) for q in co._queue_list),
+            tuple(
+                tuple(remaining[q.core_id << bits:(q.core_id << bits) + q.depth])
+                for q in co._queue_list
+            ),
         )
 
     # ------------------------------------------------------------- snapshots

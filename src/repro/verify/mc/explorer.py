@@ -555,9 +555,9 @@ def run_mc(config: McConfig, jobs: int = 1) -> McResult:
             if cell.counterexample is not None and config.stop_on_first:
                 break
         return merge_cells(config, roots, cells)
-    import concurrent.futures
+    from ...experiments.runner import worker_pool
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with worker_pool(jobs) as pool:
         cells = list(pool.map(_explore_cell_job, [(config, i) for i in range(len(roots))]))
     return merge_cells(config, roots, cells)
 

@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase
 
 from repro import build_system
 from repro.kernel.kernel import Kernel
 from repro.sim.engine import MSEC, SEC
+
+
+#: Hypothesis phases of the op-list properties (lists of at least 30 ops):
+#: every phase but shrinking. Minimising a failing list that long ran for
+#: minutes, until hypothesis' 300 s shrink cap, while its memory grew;
+#: without it a failure reports in seconds, with the falsifying example as
+#: generated. Every example is still generated and checked, and the example
+#: database replays a failing one first on the next run.
+OP_LIST_PHASES = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def make_proc(system, n_threads=None, name="proc"):
@@ -79,3 +89,11 @@ def marker_cell(tag: str) -> str:
 def crash_cell(message: str = "boom"):
     """A run-cell entry point that always raises (crash-surfacing tests)."""
     raise ValueError(message)
+
+
+def exit_cell(code: int = 3):
+    """A run-cell entry point whose process dies at once, as under a signal
+    or the OOM killer: no exception, no traceback."""
+    import os
+
+    os._exit(code)

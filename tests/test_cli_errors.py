@@ -1,8 +1,13 @@
 """CLI error paths and plumbing edge cases for ``python -m repro``."""
 
+import subprocess
+
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.experiments import CellExecutionError, RunCell
+from repro.experiments.runner import run_cells
 
 
 def _tables(text):
@@ -139,8 +144,6 @@ class TestCiCommand:
         # pyproject's addopts already pass -q; a second one runs pytest at
         # -qq, which prints no "N passed in T s" line. Tier-1 is the only
         # step, so pytest is the only subprocess.
-        import subprocess
-
         calls = []
 
         def fake_call(argv, **kwargs):
@@ -153,3 +156,55 @@ class TestCiCommand:
         assert argv[1:3] == ["-m", "pytest"]
         assert "-q" not in argv
         assert capsys.readouterr().out.splitlines()[-1].startswith("ci: tier-1 pytest: ok")
+
+    def test_interrupt_exits_2_with_one_line(self, monkeypatch, capsys):
+        def interrupted(argv, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(subprocess, "call", interrupted)
+        assert main(["ci"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "ci: interrupted during tier-1 pytest"
+        ]
+
+
+def _cells(fn, **params):
+    return [
+        RunCell(exp_id="x", cell_id="ok", fn="helpers:marker_cell", params={"tag": "a"}),
+        RunCell(exp_id="x", cell_id="bad", fn=fn, params=params),
+    ]
+
+
+class TestAbruptEnds:
+    """A sharded run that loses a worker, or is interrupted, ends in one
+    line on stderr and exit 2; a cell that raises keeps its traceback."""
+
+    def test_dead_worker_exits_2_naming_the_cell(self, monkeypatch, capsys):
+        cells = _cells("helpers:exit_cell")
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: run_cells(cells, jobs=2))
+        assert main(["tab1", "--jobs", "2"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cell x/")
+        assert "worker process died abruptly" in line
+
+    def test_raising_cell_keeps_its_traceback(self, monkeypatch):
+        cells = _cells("helpers:crash_cell", message="kapow")
+        monkeypatch.setattr(cli, "run_many", lambda *a, **k: run_cells(cells, jobs=2))
+        with pytest.raises(CellExecutionError, match="kapow"):
+            main(["tab1", "--jobs", "2"])
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["tab1", "--jobs", "2"], "interrupted: tab1 on 2 jobs"),
+            (["tab1"], "interrupted: experiment tab1"),
+        ],
+    )
+    def test_interrupted_run_exits_2_with_one_line(self, monkeypatch, capsys, argv, line):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_many", interrupted)
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [line]

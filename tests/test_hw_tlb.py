@@ -2,6 +2,7 @@
 
 import hypothesis.strategies as st
 import pytest
+from helpers import OP_LIST_PHASES
 from hypothesis import HealthCheck, example, given, settings
 
 from repro.hw.tlb import HUGE_SPAN, KEY_PCID_SHIFT, NO_PCID, Tlb, TlbEntry, entry_pfn
@@ -247,7 +248,7 @@ class TestIndexedVsScan:
     partially overlaps a range, ranges that start near the pcid base and
     ranges that run past the top of the vpn field."""
 
-    @SETTINGS
+    @settings(SETTINGS, phases=OP_LIST_PHASES)
     @given(ops=_TLB_OPS, pcid_enabled=st.booleans())
     def test_matches_scan_model(self, ops, pcid_enabled):
         tlb = Tlb(capacity=32, pcid_enabled=pcid_enabled, huge_capacity=8)

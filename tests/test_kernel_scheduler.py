@@ -110,8 +110,8 @@ class TestRunOn:
 
         run_to_completion(system, driver())
         # Without PCIDs, switching away flushes and drops the old mm's bit.
-        assert 0 not in proc_a.mm.cpumask
-        assert 0 in proc_b.mm.cpumask
+        assert proc_a.mm.cpumask == 0
+        assert proc_b.mm.cpumask == 0b1
 
     def test_same_task_no_switch(self):
         system = build_system("latr", cores=1)

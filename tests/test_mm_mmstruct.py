@@ -67,6 +67,7 @@ class TestCpumask:
     def test_targets_exclude_initiator(self, mm):
         for c in (0, 2, 5):
             mm.mark_running_on(c)
+        assert mm.cpumask == 0b100101
         assert mm.shootdown_targets(2) == [0, 5]
         assert mm.shootdown_targets(9) == [0, 2, 5]
 
@@ -74,6 +75,7 @@ class TestCpumask:
         mm.mark_running_on(1)
         mm.clear_cpu(1)
         mm.clear_cpu(7)  # no-op
+        assert mm.cpumask == 0
         assert mm.shootdown_targets(0) == []
 
     def test_generation_bumps(self, mm):

@@ -34,6 +34,9 @@ class TestShootdownScoping:
             yield from kernel.syscalls.munmap(t0, c0, vrange)
 
         run_to_completion(system, body())
+        # Each mm's cpumask holds the bits of its own threads' cores.
+        assert proc_a.mm.cpumask == 0b0011
+        assert proc_b.mm.cpumask == 0b1100
         assert kernel.machine.core(1).interrupts_received == 1
         assert kernel.machine.core(2).interrupts_received == 0
         assert kernel.machine.core(3).interrupts_received == 0

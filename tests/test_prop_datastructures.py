@@ -2,6 +2,7 @@
 
 import hypothesis.strategies as st
 import pytest
+from helpers import OP_LIST_PHASES
 from hypothesis import HealthCheck, given, settings
 
 from repro.mm.addr import PAGE_SIZE, VirtRange
@@ -11,6 +12,8 @@ from repro.mm.pte import make_present_pte
 from repro.mm.vma import Prot, Vma, VmaSet, VmaSetError
 
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+#: The op-list properties report a failure without shrinking it.
+OP_LISTS = settings(SETTINGS, phases=OP_LIST_PHASES)
 
 
 #: Windows of 8 vpns the page-table ops draw from, so that clears and
@@ -35,7 +38,7 @@ def _page_table_vpns():
 class TestPageTableVsShadow:
     """The 4-level radix table must behave exactly like a flat dict."""
 
-    @SETTINGS
+    @OP_LISTS
     @given(
         ops=st.lists(
             st.tuples(
@@ -78,7 +81,7 @@ class TestPageTableVsShadow:
 
 
 class TestFrameAllocatorProperties:
-    @SETTINGS
+    @OP_LISTS
     @given(
         ops=st.lists(st.sampled_from(["alloc", "get", "put"]), min_size=30, max_size=300),
         nodes=st.integers(min_value=1, max_value=4),
@@ -134,7 +137,7 @@ def _ranges(max_page=200):
 
 
 class TestVmaSetProperties:
-    @SETTINGS
+    @OP_LISTS
     @given(
         ops=st.lists(
             st.tuples(st.sampled_from(["map", "unmap"]), _ranges()), min_size=30, max_size=60
@@ -187,7 +190,12 @@ class TestSoaQueueVsObjectShadow:
     post/pull/clear/reclaim sequence: acceptance, full rejections, clears,
     reclaims, occupancy and the active states in slot order."""
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=60,
+        deadline=None,
+        phases=OP_LIST_PHASES,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
     @given(
         depth=st.integers(min_value=1, max_value=6),
         ops=st.lists(

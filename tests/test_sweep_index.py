@@ -237,6 +237,95 @@ class TestIndexBookkeeping:
         assert summaries[0] == summaries[1]
 
 
+class TestCompletionOrder:
+    """Several states complete in one sweep at core 0: their ``done``
+    signals fire in full-scan order (owner core, then slot) on the inbox
+    sweep as on the full scan, although core 0's inbox holds them in
+    posting order (narrow states interleaved from owners 2 and 1, wide
+    ones from owners 3, 1 and 2). One state's ``done`` resumes a process
+    that munmaps again, and another's one that posts a migration state,
+    both from inside the sweep."""
+
+    #: (process, owner core) of each post, cycled: the wide process runs
+    #: on all four cores (three targets, the wide log), the narrow one on
+    #: cores 0-2 (two targets, inbox entries).
+    POSTS = (("wide", 3), ("narrow", 2), ("wide", 1), ("narrow", 1), ("wide", 2))
+
+    @pytest.mark.parametrize("n_states", [40, 6], ids=["full_flush", "per_page"])
+    def test_done_order_matches_full_scan(self, n_states):
+        inbox = self._done_order(n_states, use_sweep_index=True)
+        full = self._done_order(n_states, use_sweep_index=False)
+        assert inbox == full
+
+    def _done_order(self, n_states, use_sweep_index):
+        # Ticks do not sweep: every sweep below is explicit.
+        system = build_system(
+            "latr", cores=4, sweep_on_tick=False, use_sweep_index=use_sweep_index
+        )
+        kernel = system.kernel
+        coherence = kernel.coherence
+        sc = kernel.syscalls
+        cores = kernel.machine.cores
+        procs = {
+            "wide": make_proc(system, name="wide"),
+            "narrow": make_proc(system, n_threads=3, name="narrow"),
+        }
+        order = []
+
+        def record(label):
+            return lambda _sig: order.append(label)
+
+        def remunmap(state, task, vrange):
+            yield state.done
+            order.append("remunmap.resumed")
+            yield from sc.munmap(task, cores[task.home_core_id], vrange)
+            coherence._pending_reclaim[-1].done.add_callback(record("remunmap.done"))
+
+        def migrate(state, task, vrange):
+            yield state.done
+            done = yield from coherence.migration_unmap(
+                cores[task.home_core_id], task.mm, vrange, lambda: None
+            )
+            done.add_callback(record("migration.done"))
+
+        def body():
+            wide_task = procs["wide"][1][1]
+            spare = []
+            for _ in range(2):
+                vrange = yield from sc.mmap(wide_task, cores[1], PAGE_SIZE)
+                spare.append(vrange)
+            for i in range(n_states):
+                name, owner = self.POSTS[i % len(self.POSTS)]
+                task = procs[name][1][owner]
+                vrange = yield from sc.mmap(task, cores[owner], PAGE_SIZE)
+                yield from sc.munmap(task, cores[owner], vrange)
+                state = coherence._pending_reclaim[-1]
+                state.done.add_callback(record(i))
+                if i == n_states // 2:
+                    system.sim.spawn(remunmap(state, wide_task, spare[0]))
+                    system.sim.spawn(migrate(state, wide_task, spare[1]))
+
+        run_to_completion(system, body())
+        assert coherence.active_state_count() == n_states
+        for core_id in (1, 2, 3):
+            coherence.sweep(cores[core_id])
+        assert order == []
+        coherence.sweep(cores[0])
+        assert sorted(label for label in order if isinstance(label, int)) == list(
+            range(n_states)
+        )
+        assert "remunmap.resumed" in order
+        # The migration was posted inside the sweep; the re-munmap's state
+        # once its charges elapsed. Sweeping every core twice retires both.
+        drain(system, ms=1)
+        assert coherence.active_state_count() == 2
+        for _ in range(2):
+            for core in cores:
+                coherence.sweep(core)
+        assert order[-2:] == ["migration.done", "remunmap.done"]
+        return order, system.stats.summary()
+
+
 class TestHealthySweepEntryPoint:
     def test_mutated_run_runs_no_healthy_sweep(self, monkeypatch):
         # Tick and context-switch sweeps share ``sweep``: a subclass that
@@ -280,7 +369,7 @@ def _inbox_bookkeeping(coherence):
         {c: set(gids) for c, gids in coherence._excluded.items()},
         [list(seqs) for seqs in coherence._socket_seqs],
         set(coherence._unapplied),
-        [list(queue._remaining_a) for queue in coherence._queue_list],
+        list(coherence._remaining),
         dict(coherence._sweep_cursor),
     )
 
@@ -334,17 +423,17 @@ class TestInboxSnapshot:
         assert any(coherence._inboxes) and coherence._wide_gids
         bookkeeping = _inbox_bookkeeping(coherence)
         machine = kernel.machine
-        lazy = set(machine.lazy_cores)
+        lazy = machine.lazy_cores
         snap = snapshot_kernel(kernel)
         drain(system, ms=6)
         after = (system.stats.summary(), _inbox_bookkeeping(coherence))
         assert coherence.active_state_count() == 0
         for core in machine.cores:
-            core.lazy_tlb_mode = core.id not in lazy
+            core.lazy_tlb_mode = not lazy >> core.id & 1
         restore_kernel(kernel, snap)
         assert _inbox_bookkeeping(coherence) == bookkeeping
         assert machine.lazy_cores == lazy
-        assert lazy == {core.id for core in machine.cores if core.lazy_tlb_mode}
+        assert lazy == sum(1 << core.id for core in machine.cores if core.lazy_tlb_mode)
         drain(system, ms=6)
         assert (system.stats.summary(), _inbox_bookkeeping(coherence)) == after
 
@@ -439,10 +528,11 @@ class TestLiveMasks:
             assert inbox_masks == full_masks, op
 
 
-def _old_target_ids(machine, mm, initiator_id, counter):
-    """The per-core loop ``select_targets`` replaced (reference model)."""
+def _old_target_ids(machine, cpumask, initiator_id, counter):
+    """The per-core loop ``select_targets`` replaced (reference model),
+    over ``cpumask`` as a set of core ids."""
     targets = []
-    for core_id in sorted(c for c in mm.cpumask if c != initiator_id):
+    for core_id in sorted(c for c in cpumask if c != initiator_id):
         core = machine.cores[core_id]
         if core.lazy_tlb_mode:
             core.needs_flush_on_wake = True
@@ -454,59 +544,131 @@ def _old_target_ids(machine, mm, initiator_id, counter):
 
 def _old_sharer_hop_counts(topology, core_id, sharers):
     counts = {}
-    for other in sharers:
+    for other in sorted(sharers):
         if other != core_id:
             hops = topology.core_hops(core_id, other)
             counts[hops] = counts.get(hops, 0) + 1
     return counts
 
 
+def _old_abis_targets(machine, sharers, cpumask, initiator_id):
+    """ABIS's sharer filter as the loop over id sets it replaced."""
+    targets = []
+    for core_id in sorted((sharers - {initiator_id}) & cpumask):
+        core = machine.cores[core_id]
+        if core.lazy_tlb_mode:
+            core.needs_flush_on_wake = True
+            continue
+        targets.append(core_id)
+    return targets
+
+
+def _posted_mask(coherence, core, mm):
+    """The cpu mask of the state ``shootdown_free`` posts for one page of
+    ``mm`` (None when it posts none), read before any sweep. The state is
+    then retired, so the next call finds its slot free."""
+    pending = coherence._pending_reclaim
+    posted = len(pending)
+    # The yielded Timeouts are the initiator's charges: no simulated time
+    # has to pass for the post itself.
+    for _ in coherence.shootdown_free(core, mm, VirtRange.from_pages(0x100, 1), [], None):
+        pass
+    if len(pending) == posted:
+        return None
+    state = pending.pop()
+    mask = state.queue._mask_a[state.slot_idx]
+    state.active = False
+    state.reclaimed = True
+    return mask
+
+
+def _wake_flags(machine):
+    flags = [core.needs_flush_on_wake for core in machine.cores]
+    for core in machine.cores:
+        core.needs_flush_on_wake = False
+    return flags
+
+
+_TARGET_MACHINES = ("commodity-2s16c", "large-numa-8s120c", "fleet-16s960c")
+
+
+@pytest.fixture(scope="module")
+def target_systems():
+    """One LATR and one ABIS system per machine, built once: each example
+    sets every lazy flag and clears every wake flag it reads."""
+    return {
+        name: (build_system("latr", machine=name), build_system("abis", machine=name))
+        for name in _TARGET_MACHINES
+    }
+
+
+def _core_sets(data, n):
+    """A sparse or a dense (complemented) set of core ids below ``n``: the
+    fleet's posted states target about 900 of its 960 cores."""
+    ids = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n))
+    return set(range(n)) - ids if data.draw(st.booleans()) else ids
+
+
 class TestTargetArithmetic:
-    """Set arithmetic on the munmap side equals the per-core loops it
-    replaced, on random cpumasks and lazy-core sets."""
+    """Int-mask arithmetic on the munmap side equals the per-core loops
+    over id sets that it replaced, on random cpumasks, lazy-core and
+    sharer sets, up to the fleet box's 960-bit masks."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        machine_name=st.sampled_from(["commodity-2s16c", "large-numa-8s120c"]),
-        data=st.data(),
-    )
-    def test_select_targets_and_hop_counts_match_loops(self, machine_name, data):
-        system = build_system("latr", machine=machine_name)
-        machine = system.machine
-        n = machine.n_cores
-        core_ids = st.integers(min_value=0, max_value=n - 1)
-        cpumask = data.draw(st.sets(core_ids, max_size=n))
-        lazy = data.draw(st.sets(core_ids, max_size=n))
-        initiator = data.draw(core_ids)
-        for core in machine.cores:
-            core.lazy_tlb_mode = core.id in lazy
-        assert machine.lazy_cores == lazy
+    @given(machine_name=st.sampled_from(_TARGET_MACHINES), data=st.data())
+    def test_select_targets_and_hop_counts_match_loops(
+        self, target_systems, machine_name, data
+    ):
+        latr_system, abis_system = target_systems[machine_name]
+        n = latr_system.machine.n_cores
+        cpumask = _core_sets(data, n)
+        lazy = _core_sets(data, n)
+        sharers = _core_sets(data, n)
+        initiator = data.draw(st.integers(min_value=0, max_value=n - 1))
         mm = MmStruct(Simulator())
-        mm.cpumask = set(cpumask)
+        for core_id in cpumask:
+            mm.mark_running_on(core_id)
+        assert mm.cpumask == sum(1 << c for c in cpumask)
+        assert mm.shootdown_targets(initiator) == sorted(cpumask - {initiator})
+        for system in (latr_system, abis_system):
+            for core in system.machine.cores:
+                core.lazy_tlb_mode = core.id in lazy
+                core.needs_flush_on_wake = False
+            assert system.machine.lazy_cores == sum(1 << c for c in lazy)
 
+        machine = latr_system.machine
         counter = [0]
-        expected = _old_target_ids(machine, mm, initiator, counter)
-        expected_flags = [core.needs_flush_on_wake for core in machine.cores]
-        for core in machine.cores:
-            core.needs_flush_on_wake = False
-        stats = system.stats.counter("shootdown.idle_skipped")
-        skipped = stats.value
-        coherence = system.kernel.coherence
+        expected = _old_target_ids(machine, cpumask, initiator, counter)
+        expected_flags = _wake_flags(machine)
+        skipped = latr_system.stats.counter("shootdown.idle_skipped")
+        before = skipped.value
+        coherence = latr_system.kernel.coherence
         targets = coherence.select_targets(machine.cores[initiator], mm)
         assert [t.id for t in targets] == expected
-        assert stats.value - skipped == counter[0]
-        assert [core.needs_flush_on_wake for core in machine.cores] == expected_flags
-        if expected:
-            mask = coherence._mask_of(expected)
-            assert mask == sum(1 << c for c in expected)
+        assert skipped.value - before == counter[0]
+        assert _wake_flags(machine) == expected_flags
+        posted = _posted_mask(coherence, machine.cores[initiator], mm)
+        assert posted == (sum(1 << c for c in expected) if expected else None)
+        assert _wake_flags(machine) == expected_flags
 
         topology = machine.topology
-        assert topology.sharer_hop_counts(initiator, cpumask) == _old_sharer_hop_counts(
-            topology, initiator, cpumask
+        counts = topology.sharer_hop_counts(initiator, mm.cpumask)
+        assert list(counts.items()) == list(
+            _old_sharer_hop_counts(topology, initiator, cpumask).items()
         )
+
+        machine = abis_system.machine
+        abis = abis_system.kernel.coherence
+        vrange = VirtRange.from_pages(0x100, 1)
+        abis._sharers[(mm.mm_id, vrange.vpn_start)] = set(sharers)
+        expected = _old_abis_targets(machine, sharers, cpumask, initiator)
+        expected_flags = _wake_flags(machine)
+        targets = abis._targets_for_range(machine.cores[initiator], mm, vrange)
+        assert [t.id for t in targets] == expected
+        assert _wake_flags(machine) == expected_flags
 
     def test_hop_counts_cover_one_and_two_hops(self):
         topology = Topology(preset("large-numa-8s120c"))
-        counts = topology.sharer_hop_counts(0, set(range(120)))
+        counts = topology.sharer_hop_counts(0, (1 << 120) - 1)
         assert counts == _old_sharer_hop_counts(topology, 0, range(120))
         assert set(counts) == {0, 1, 2}

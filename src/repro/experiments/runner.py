@@ -37,6 +37,7 @@ registry API stays uniform and ``--jobs`` remains valid for every id.
 
 from __future__ import annotations
 
+import copy
 import importlib
 import time
 import traceback
@@ -444,21 +445,55 @@ def run_many(
     big sweeps instead of serializing between them -- this is what makes
     ``python -m repro all --fast --jobs N`` scale. Results come back in
     ``exp_ids`` order with tables identical to per-experiment serial runs.
+
+    A cell that several experiments ask for (the same ``fn``, ``params``,
+    ``seed`` and ``fast``: fig1's Apache cells are fig9 cells, canneal and
+    dedup repeat) runs once; cells are pure, so its value does not depend
+    on which experiment ran it. Its wall time and events are billed to the
+    first experiment, in ``exp_ids`` order, that asked for it. Every later
+    one gets a deep copy of the value, taken before any ``assemble`` runs,
+    with 0 s and 0 events, so no ``assemble`` can mutate another
+    experiment's input.
     """
     specs = [experiment_spec(exp_id) for exp_id in exp_ids]
     cell_lists = [spec.cells(fast) for spec in specs]
-    flat = [cell for cell_list in cell_lists for cell in cell_list]
-    outcomes = run_cells(flat, jobs=jobs)
-    runs: List[ExperimentRun] = []
-    offset = 0
-    for spec, cell_list in zip(specs, cell_lists):
-        chunk = outcomes[offset : offset + len(cell_list)]
-        offset += len(cell_list)
-        result = spec.assemble([outcome.value for outcome in chunk], fast)
-        runs.append(
-            ExperimentRun(exp_id=spec.exp_id, result=result, outcomes=chunk, jobs=jobs)
+    first: Dict[Tuple[str, str, int, bool], int] = {}
+    distinct: List[RunCell] = []
+    for cell_list in cell_lists:
+        for cell in cell_list:
+            key = _cell_key(cell)
+            if key not in first:
+                first[key] = len(distinct)
+                distinct.append(cell)
+    outcomes = run_cells(distinct, jobs=jobs)
+    billed = [False] * len(distinct)
+    chunks: List[List[CellOutcome]] = []
+    for cell_list in cell_lists:
+        chunk = []
+        for cell in cell_list:
+            i = first[_cell_key(cell)]
+            outcome = outcomes[i]
+            if billed[i]:
+                outcome = CellOutcome(
+                    cell=cell, value=copy.deepcopy(outcome.value), wall_s=0.0, events=0
+                )
+            billed[i] = True
+            chunk.append(outcome)
+        chunks.append(chunk)
+    return [
+        ExperimentRun(
+            exp_id=spec.exp_id,
+            result=spec.assemble([outcome.value for outcome in chunk], fast),
+            outcomes=chunk,
+            jobs=jobs,
         )
-    return runs
+        for spec, chunk in zip(specs, chunks)
+    ]
+
+
+def _cell_key(cell: RunCell) -> Tuple[str, str, int, bool]:
+    """What a cell's value depends on: its entry point and arguments."""
+    return (cell.fn, repr(sorted(cell.params.items())), cell.seed, cell.fast)
 
 
 def _load_all() -> None:

@@ -11,16 +11,13 @@ experiments.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from ..sim.engine import Simulator, Timeout
+from ..sim.engine import Simulator
 from .tlb import Tlb
 
 if TYPE_CHECKING:  # pragma: no cover
     from .machine import Machine
-
-#: Granularity at which executing tasks absorb stolen interrupt time.
-EXEC_QUANTUM_NS = 20_000
 
 
 class Core:
@@ -101,31 +98,21 @@ class Core:
         task running here, without modelling an interrupt."""
         self._pending_interrupt_ns += cost_ns
 
-    def execute(self, work_ns: int) -> Generator:
+    def execute(self, work_ns: int) -> Tuple[Tuple["Core", int]]:
         """Burn ``work_ns`` of CPU; total elapsed time additionally includes
         any interrupt/sweep time that lands on this core meanwhile.
 
-        Usage inside a process: ``yield from core.execute(ns)``.
+        Usage inside a process: ``yield from core.execute(ns)``. Returns a
+        one-element tuple holding the charge ``(core, ns)``; the process
+        yields it and drives it by the quantum rule of
+        :meth:`repro.sim.engine.Process._step` (absorb the stolen time,
+        else burn at most ``EXEC_QUANTUM_NS``, repeat), resuming the
+        generator only when the charge is done. Negative work raises
+        ``ValueError`` here, at the call.
         """
         if work_ns < 0:
             raise ValueError(f"negative work: {work_ns}")
-        remaining = int(work_ns)
-        while True:
-            stolen = self._pending_interrupt_ns
-            if stolen:
-                self._pending_interrupt_ns = 0
-                yield Timeout(stolen)
-                continue
-            if remaining <= 0:
-                break
-            chunk = min(remaining, EXEC_QUANTUM_NS)
-            yield Timeout(chunk)
-            self.busy_ns_total += chunk
-            remaining -= chunk
-
-    def drain_stolen_time(self) -> Generator:
-        """Absorb any pending stolen time without doing new work."""
-        yield from self.execute(0)
+        return ((self, int(work_ns)),)
 
     def enter_idle(self) -> None:
         """Scheduler hook: the core went idle (enters lazy-TLB mode)."""

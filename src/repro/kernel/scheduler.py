@@ -99,16 +99,17 @@ class Scheduler:
         lock = self._cpu_locks[core.id]
         yield lock.acquire()
         try:
-            yield from self._maybe_switch(core, task)
+            if core.current_task is not task:
+                yield from self._switch(core, task)
             result = yield from body
             return result
         finally:
             lock.release()
 
-    def _maybe_switch(self, core, task: Task) -> Generator:
+    def _switch(self, core, task: Task) -> Generator:
+        """Make ``task`` resident on ``core``: a charged context switch
+        when it displaces another task, a wake from idle otherwise."""
         previous = core.current_task
-        if previous is task:
-            return
         old_mm = previous.mm if previous is not None else None
         if core.idle:
             core.exit_idle(task)

@@ -25,9 +25,21 @@ USEC = 1_000
 MSEC = 1_000_000
 SEC = 1_000_000_000
 
+#: Granularity at which a charge absorbs time stolen from its core: the
+#: longest stretch of work burnt as one event (see :meth:`Process._step`).
+EXEC_QUANTUM_NS = 20_000
+
 
 class SimulationError(RuntimeError):
     """Raised for illegal uses of the engine (negative delays, re-triggering)."""
+
+
+class _Halt(Exception):
+    """Ends a :meth:`Simulator.run` at its stop signal (see ``_halt_on``)."""
+
+
+def _halt() -> None:
+    raise _Halt
 
 
 class EventHandle:
@@ -35,7 +47,8 @@ class EventHandle:
 
     Periodic handles (created by :meth:`Simulator.every`) carry a non-None
     ``interval`` and are re-armed in place after each firing instead of being
-    re-allocated; ``cancel()`` stops the series.
+    re-allocated; ``cancel()`` stops the series. A :class:`Process` re-arms
+    its one wake handle in place the same way.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "interval", "_sim",
@@ -142,16 +155,26 @@ class Process:
 
     The generator may yield:
 
+    * a charge ``(core, ns)`` -- burn ``ns`` of CPU on ``core``
+      (``yield from core.execute(ns)`` yields one),
     * :class:`Timeout` -- resume after a delay,
     * :class:`Signal` -- resume when it fires (resumed with its value),
     * :class:`Process` -- resume when the child process finishes,
     * :class:`AllOf` -- resume when all children fire.
 
+    The process drives a charge itself and resumes the generator only once
+    the charge is done (see :meth:`_step` for the quantum rule). A wait
+    that is already satisfied -- a fired signal, a finished child, a charge
+    with nothing left to burn -- resumes the generator in the same frame. A
+    suspended process has at most one timed wake-up pending (a timeout or
+    one event of a charge), so it re-arms one :class:`EventHandle` in place.
+
     The generator's return value becomes :attr:`value` and the ``done``
     signal fires with it.
     """
 
-    __slots__ = ("sim", "gen", "done", "value", "name", "_alive")
+    __slots__ = ("sim", "gen", "done", "value", "name", "_alive", "_wake",
+                 "_core", "_left", "_chunk")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
@@ -160,6 +183,15 @@ class Process:
         self.value: Any = None
         self.name = name or getattr(gen, "__name__", "process")
         self._alive = True
+        #: The wake handle, re-armed for every timed wait (and a spawned
+        #: process's first step). Dropped when the process ends: its bound
+        #: method would otherwise keep the process alive in a cycle.
+        self._wake: Optional[EventHandle] = EventHandle(0, 0, self._step, (), sim)
+        #: The charge in progress: its core (None when there is none), the
+        #: work left and the chunk now burning (0 while absorbing stolen time).
+        self._core: Any = None
+        self._left = 0
+        self._chunk = 0
 
     @property
     def alive(self) -> bool:
@@ -169,36 +201,76 @@ class Process:
         """Waitable protocol: completion is signalled through ``done``."""
         self.done.add_callback(cb)
 
-    def _step(self, send_value: Any = None) -> None:
-        if not self._alive:
-            return
-        try:
-            yielded = self.gen.send(send_value)
-        except StopIteration as stop:
-            self._alive = False
-            self.value = stop.value
-            self.done.succeed(stop.value)
-            return
-        self._wait_on(yielded)
+    def _step(self, value: Any = None) -> None:
+        """Run the process until it has to wait; the wake handle calls this
+        when a timed wait ends.
 
-    def _wait_on(self, yielded: Any) -> None:
-        if isinstance(yielded, Timeout):
-            self.sim.after(yielded.delay, self._step, None)
-        elif isinstance(yielded, (Signal, Process)):
-            yielded.add_callback(lambda sig: self._step(sig.value))
-        elif isinstance(yielded, AllOf):
-            self._wait_all(yielded.children)
-        else:
-            raise SimulationError(f"process {self.name!r} yielded unsupported {yielded!r}")
+        While a charge is in progress, the quantum rule picks its next
+        event: time stolen from the core (``core._pending_interrupt_ns``,
+        left by interrupt handlers and sweeps) is absorbed whole as one
+        event; otherwise the next ``min(left, EXEC_QUANTUM_NS)`` ns of work
+        is one event, added to ``core.busy_ns_total`` when it fires. With
+        no work left and nothing stolen, the generator resumes."""
+        send = self.gen.send
+        while self._alive:
+            core = self._core
+            if core is not None:
+                chunk = self._chunk
+                if chunk:  # the wake handle fired at the end of this chunk
+                    self._chunk = 0
+                    core.busy_ns_total += chunk
+                    self._left -= chunk
+                stolen = core._pending_interrupt_ns
+                if stolen:
+                    core._pending_interrupt_ns = 0
+                    delay = int(stolen)
+                    break
+                left = self._left
+                if left > 0:
+                    self._chunk = delay = left if left < EXEC_QUANTUM_NS else EXEC_QUANTUM_NS
+                    break
+                self._core = None
+            try:
+                yielded = send(value)
+            except StopIteration as stop:
+                self._alive = False
+                self._wake = None
+                self.value = stop.value
+                self.done.succeed(stop.value)
+                return
+            value = None
+            if type(yielded) is tuple:
+                self._core, self._left = yielded
+                continue
+            if isinstance(yielded, Timeout):
+                delay = yielded.delay
+                break
+            if isinstance(yielded, Signal):
+                sig = yielded
+            elif isinstance(yielded, Process):
+                sig = yielded.done
+            elif isinstance(yielded, AllOf):
+                sig = _gather(self.sim, yielded.children, self.name)
+            else:
+                raise SimulationError(f"process {self.name!r} yielded unsupported {yielded!r}")
+            if not sig.triggered:
+                sig.add_callback(self._fire)
+                return
+            value = sig.value
+        else:  # not alive: interrupted, or woken after an interrupt
+            return
+        self.sim._arm(self._wake, delay)
 
-    def _wait_all(self, children: List[Any]) -> None:
-        gathered = _gather(self.sim, children, self.name)
-        gathered.add_callback(lambda sig: self._step(sig.value))
+    def _fire(self, sig: Signal) -> None:
+        """The signal this process waits on fired."""
+        self._step(sig.value)
 
     def interrupt(self) -> None:
-        """Kill the process; its ``done`` signal fires with ``None``."""
+        """Kill the process; its ``done`` signal fires with ``None``. A
+        wake-up still pending fires as a no-op."""
         if self._alive:
             self._alive = False
+            self._wake = None
             self.gen.close()
             if not self.done.triggered:
                 self.done.succeed(None)
@@ -269,8 +341,9 @@ class Simulator:
         self._queue: List[Tuple[int, int, EventHandle]] = []
         #: Events executed by this instance (monotonic, never reset).
         self.events_executed = 0
-        #: Set to a list to record (time, seq) of every executed event; the
-        #: golden order fingerprint of the engine-stress driver hashes it.
+        #: Set to a list to record (time, seq) of every executed event: the
+        #: seq its entry was popped with, or for a periodic event the seq of
+        #: its next firing. The golden order fingerprints hash it.
         self.order_log: Optional[List] = None
 
     @property
@@ -339,9 +412,13 @@ class Simulator:
         """Re-queue a periodic handle for its next firing (fresh seq, so
         ordering against freshly-scheduled events matches the old
         Timeout-per-tick daemons exactly)."""
-        if handle.cancelled:
-            return
-        time = handle.time = self._now + handle.interval
+        if not handle.cancelled:
+            self._arm(handle, handle.interval)
+
+    def _arm(self, handle: EventHandle, delay: int) -> None:
+        """Queue ``handle`` again, ``delay`` ns from now with a fresh seq:
+        the next firing of a periodic handle or a process's next wake-up."""
+        time = handle.time = self._now + delay
         seq = handle.seq = self._seq
         self._seq = seq + 1
         handle._scheduled = True
@@ -404,7 +481,7 @@ class Simulator:
         return chosen
 
     def _run_with_choice_hook(
-        self, until: Optional[int], max_events: Optional[int]
+        self, until: Optional[int], max_events: Optional[int], stop: Optional[Signal]
     ) -> int:
         """The run() loop under a choice hook: one ready-set dispatch per
         event."""
@@ -414,6 +491,8 @@ class Simulator:
             while True:
                 if max_events is not None and executed >= max_events:
                     break
+                if stop is not None and stop.triggered:
+                    return executed
                 head = self._dispatch_choice(until)
                 if head is None:
                     break
@@ -421,14 +500,12 @@ class Simulator:
                 executed += 1
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            next_time = self._next_event_time()
-            if next_time is None or next_time > until:
-                self._now = until
+        self._advance_to(until)
         return executed
 
     def _execute(self, handle: EventHandle) -> None:
-        self._now = handle.time
+        time = self._now = handle.time
+        seq = handle.seq
         if handle.interval is None:
             handle.fn(*handle.args)
         else:
@@ -442,10 +519,11 @@ class Simulator:
                 proc.done.add_callback(lambda _sig, h=handle: self._rearm(h))
             else:
                 self._rearm(handle)
+            seq = handle.seq
         self.events_executed += 1
         Simulator.total_events_executed += 1
         if self.order_log is not None:
-            self.order_log.append((handle.time, handle.seq))
+            self.order_log.append((time, seq))
 
     def signal(self) -> Signal:
         """Create a fresh one-shot signal bound to this simulator."""
@@ -460,7 +538,7 @@ class Simulator:
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a process from a generator; it takes its first step at t+0."""
         proc = Process(self, gen, name)
-        self.after(0, proc._step, None)
+        self._arm(proc._wake, 0)
         return proc
 
     def step(self) -> bool:
@@ -478,19 +556,28 @@ class Simulator:
         self._execute(head)
         return True
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the engine drains or ``until`` (absolute ns)
-        passes.
+    def run(
+        self,
+        until: Optional[int] = None,
+        max_events: Optional[int] = None,
+        stop: Optional[Signal] = None,
+    ) -> int:
+        """Run events until the engine drains, ``until`` (absolute ns)
+        passes, or the event that fires ``stop`` has run.
 
         Returns the number of events executed. When ``until`` is given the
         clock is advanced to exactly ``until`` if the engine drained of
         events at or before ``until``, so rate computations over a fixed
-        window stay well-defined. If a ``max_events`` break leaves such
-        events pending, the clock stays at the last executed event --
-        force-advancing would make the next :meth:`step` move time backwards.
+        window stay well-defined. A run ended by ``stop`` leaves the clock
+        at the event that fired it (a signal fired before the call ends
+        the run at once). If a ``max_events`` break leaves such events
+        pending, the clock stays at the last executed event --
+        force-advancing would make the next :meth:`step` move time
+        backwards.
         """
         if self.choice_hook is not None:
-            return self._run_with_choice_hook(until, max_events)
+            return self._run_with_choice_hook(until, max_events, stop)
+        sentinel = self._halt_on(stop) if stop is not None else None
         executed = 0
         self._running = True
         # The body below is step() + _execute() inlined: one event is
@@ -499,12 +586,13 @@ class Simulator:
         # trading away. step() keeps the readable composed form.
         queue = self._queue
         pop = heapq.heappop
+        arm = self._arm
         rearm = self._rearm
         try:
             while queue:
                 if max_events is not None and executed >= max_events:
                     break
-                time, _seq, head = queue[0]
+                time, seq, head = queue[0]
                 if head.cancelled:
                     pop(queue)
                     head._scheduled = False
@@ -525,23 +613,49 @@ class Simulator:
                         proc.done.add_callback(
                             lambda _sig, h=head: rearm(h)
                         )
-                    else:
-                        rearm(head)
+                    elif not head.cancelled:
+                        arm(head, head.interval)
                 executed += 1
                 order_log = self.order_log
                 if order_log is not None:
-                    # head.seq is read after the re-arm: a periodic event
-                    # logs the seq of its next firing.
-                    order_log.append((time, head.seq))
+                    # A periodic event logs the seq of its next firing.
+                    order_log.append((time, seq if head.interval is None else head.seq))
+        except _Halt:
+            return executed
         finally:
             self._running = False
             self.events_executed += executed
             Simulator.total_events_executed += executed
+            if sentinel is not None:
+                sentinel.cancel()
+        self._advance_to(until)
+        return executed
+
+    def _advance_to(self, until: Optional[int]) -> None:
+        """End of a run that was not stopped: move the clock to ``until``
+        if no event is pending at or before it."""
         if until is not None and self._now < until:
             next_time = self._next_event_time()
             if next_time is None or next_time > until:
                 self._now = until
-        return executed
+
+    def _halt_on(self, stop: Signal) -> EventHandle:
+        """Make ``stop`` end the running loop right after the event that
+        fires it, at no cost per event: its callback queues a sentinel at
+        ``(now, -1)``, ahead of every entry, which raises :class:`_Halt`
+        when the loop pops it. Cancelling the returned sentinel disarms it
+        (and drops it, if a ``max_events`` break left it queued)."""
+        sentinel = EventHandle(0, -1, _halt, (), self)
+
+        def queue_sentinel(_sig: Signal) -> None:
+            if not sentinel.cancelled:
+                sentinel.time = now = self._now
+                sentinel._scheduled = True
+                self._pending_live += 1
+                heapq.heappush(self._queue, (now, -1, sentinel))
+
+        stop.add_callback(queue_sentinel)
+        return sentinel
 
     def _next_event_time(self) -> Optional[int]:
         """Time of the earliest pending (non-cancelled) event, or None."""

@@ -26,6 +26,9 @@ class Lock:
         self.name = name
         self._held = False
         self._waiters: Deque[Signal] = deque()
+        #: What a free acquire returns: one signal, fired once with this
+        #: lock, so a waiting process resumes in the same frame.
+        self._granted = Signal(sim).succeed(self)
         #: total acquisitions, for contention accounting in experiments
         self.acquisitions = 0
         self.contended_acquisitions = 0
@@ -35,15 +38,15 @@ class Lock:
         return self._held
 
     def acquire(self) -> Signal:
-        """Return a signal that fires when the lock is granted to the caller."""
-        sig = Signal(self.sim)
+        """Return a signal that fires when the lock is granted to the caller
+        (already fired when the lock is free)."""
         if not self._held:
             self._held = True
             self.acquisitions += 1
-            sig.succeed(self)
-        else:
-            self.contended_acquisitions += 1
-            self._waiters.append(sig)
+            return self._granted
+        sig = Signal(self.sim)
+        self.contended_acquisitions += 1
+        self._waiters.append(sig)
         return sig
 
     def release(self) -> None:

@@ -89,6 +89,7 @@ class NumaWorkload:
         partitions = {}
         ready = []
         finished = []
+        all_done = system.sim.signal()
         work_ns = cfg.work_per_core_ms * MSEC
 
         def init_main():
@@ -121,6 +122,8 @@ class NumaWorkload:
                 remaining -= chunk
                 yield from kernel.syscalls.touch_pages(task, core, vrange, process_data=True)
             finished.append(system.sim.now)
+            if len(finished) == cfg.cores:
+                all_done.succeed()
 
         def refresher():
             """The main thread periodically re-initializes one partition on
@@ -145,10 +148,7 @@ class NumaWorkload:
         for index, task in enumerate(tasks):
             system.sim.spawn(worker(task, index), name=f"{prof.name}-{task.tid}")
         kernel.stats.start_all_windows()
-        horizon = system.sim.now + 100 * work_ns
-        while len(finished) < cfg.cores and system.sim.now < horizon:
-            if not system.sim.step():
-                break
+        system.sim.run(until=system.sim.now + 100 * work_ns, stop=all_done)
         if len(finished) < cfg.cores:
             raise RuntimeError(f"{prof.name} did not finish")
         runtime = max(finished)

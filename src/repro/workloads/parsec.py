@@ -108,6 +108,7 @@ class ParsecWorkload:
         tasks = [kernel.spawn_thread(proc, f"t{i}", i) for i in range(cfg.cores)]
         work_ns = cfg.work_per_core_ms * MSEC
         finished = []
+        all_done = system.sim.signal()
 
         # VM activity interval per core: the app-wide op rate split evenly.
         ops_per_core = prof.free_ops_per_sec / cfg.cores
@@ -150,16 +151,15 @@ class ParsecWorkload:
                         next_ctx = ctx_interval
                         kernel.scheduler.synthetic_context_switch(core)
             finished.append(system.sim.now)
+            if len(finished) == cfg.cores:
+                all_done.succeed()
 
         kernel.stats.start_all_windows()
         system.machine.llc.start_window()
         for task in tasks:
             system.sim.spawn(worker(task), name=f"{prof.name}-{task.tid}")
         # Run until every worker finished.
-        horizon = system.sim.now + 60 * work_ns
-        while len(finished) < cfg.cores and system.sim.now < horizon:
-            if not system.sim.step():
-                break
+        system.sim.run(until=system.sim.now + 60 * work_ns, stop=all_done)
         if len(finished) < cfg.cores:
             raise RuntimeError(f"{prof.name} did not finish")
         runtime = max(finished)

@@ -13,7 +13,7 @@ package does not pay for it.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 #: The short fleet scope of the fleet smoke (about 0.1 s a seed), and the
 #: golden fingerprint (:func:`fleet_fingerprint`) of its
@@ -127,7 +127,9 @@ def run_engine_stress(n_events: int, record_order: bool = False):
     return sim, sim.order_log
 
 
-def run_fleet_stress(scope: Dict[str, object], seed: int) -> Dict[str, object]:
+def run_fleet_stress(
+    scope: Dict[str, object], seed: int, order_log: Optional[list] = None
+) -> Dict[str, object]:
     """Churn on a fleet box: every driver process pins a task to every
     core, then loops mmap / local write touch / a rotating scatter of
     remote read touches / munmap, so LATR states post from many owner
@@ -135,7 +137,9 @@ def run_fleet_stress(scope: Dict[str, object], seed: int) -> Dict[str, object]:
     the machine, the driver count, the pages per mmap, the remote touchers
     per rep and the simulated milliseconds (see ``FLEET_SMOKE_SCOPE``).
     ``seed`` is the boot seed and draws each driver's offset into the
-    remote-toucher rotation. Returns the final ``StatsRegistry.summary()``."""
+    remote-toucher rotation. A given ``order_log`` list receives the
+    executed ``(time, seq)`` order from the end of the boot on. Returns
+    the final ``StatsRegistry.summary()``."""
     import random
 
     from .. import build_system
@@ -143,6 +147,7 @@ def run_fleet_stress(scope: Dict[str, object], seed: int) -> Dict[str, object]:
     from ..sim.engine import MSEC, AllOf, Timeout
 
     system = build_system("latr", machine=scope["machine"], seed=seed)
+    system.sim.order_log = order_log
     kernel = system.kernel
     n_cores = len(kernel.machine.cores)
     n_drivers = scope["drivers"]

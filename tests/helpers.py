@@ -31,12 +31,30 @@ def make_proc(system, n_threads=None, name="proc"):
 def run_to_completion(system, gen, timeout_ms=2_000):
     """Spawn ``gen`` and run the sim until it completes; returns its value."""
     proc = system.sim.spawn(gen)
-    deadline = system.sim.now + timeout_ms * MSEC
-    while proc.alive and system.sim.now < deadline:
-        if not system.sim.step():
-            break
+    system.sim.run(until=system.sim.now + timeout_ms * MSEC, stop=proc.done)
     assert not proc.alive, "process did not finish in time"
     return proc.value
+
+
+def run_apache_cold(mechanism, order_log=None, **config):
+    """Run one Apache cell on a cold boot, past the warm-boot pool, so what
+    it builds does not depend on the cells run before it. Returns
+    ``(result, simulator)``; a given ``order_log`` list receives the
+    executed ``(time, seq)`` order from the end of the boot on."""
+    from repro.workloads import apache
+
+    sims = []
+
+    def cold(mech, **kwargs):
+        system = build_system(mech, **kwargs)
+        system.sim.order_log = order_log
+        sims.append(system.sim)
+        return system
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(apache, "warm_build_system", cold)
+        result = apache.run_apache(mechanism, **config)
+    return result, sims[0]
 
 
 def drain(system, ms=5):
@@ -84,6 +102,12 @@ MARKER_CALLS = []
 def marker_cell(tag: str) -> str:
     MARKER_CALLS.append(tag)
     return tag
+
+
+def list_cell(tag: str) -> list:
+    """:func:`marker_cell` with a mutable value."""
+    MARKER_CALLS.append(tag)
+    return [tag]
 
 
 def crash_cell(message: str = "boom"):

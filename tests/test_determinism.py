@@ -1,14 +1,16 @@
 """Determinism regression: every experiment's table is byte-identical
 across repeated ``--fast`` runs and across the sharded backend.
 
-One serial pass establishes the reference renders; a second full pass
-through ``run_many(..., jobs=2)`` must reproduce every table exactly.
+One serial pass (``run_many``, which runs each distinct cell once)
+establishes the reference renders; a second full pass through
+``run_many(..., jobs=2)`` must reproduce every table exactly.
 That single comparison covers both claims at once -- rerun stability
 (two independent runs agree) and backend independence (``--jobs 2``
 equals ``--jobs 1``) -- without paying for a third pass of the suite.
 
 Golden fingerprints pin modelled output across commits: the engine's
-executed ``(time, seq)`` order on the engine-stress churn, the end state
+executed ``(time, seq)`` order on the engine-stress churn and on
+process-driven runs (two 6-core Apache cells, the fleet smoke), the end state
 of three fuzz plans, the model checker's canonical state-hash sets (a
 healthy exhaustive run and three mutation audits, with their search
 counts), the 960-core fleet smoke's stats summaries (pinned in
@@ -21,8 +23,9 @@ the value and name the cause in CHANGES.md.
 import hashlib
 
 import pytest
+from helpers import run_apache_cold
 
-from repro.experiments import available_experiments, run_experiment
+from repro.experiments import available_experiments
 from repro.experiments.runner import run_many
 from repro.verify.fuzzer import run_one
 from repro.verify.mc import McConfig, McScope, run_mc
@@ -47,6 +50,30 @@ def _fingerprint(value) -> str:
 def test_engine_stress_order_fingerprint(n_events, expected):
     _sim, order = run_engine_stress(n_events, record_order=True)
     assert len(order) == n_events
+    assert _fingerprint(order) == expected
+
+
+@pytest.mark.parametrize(
+    "mechanism, events, expected",
+    [("linux", 12_538, "ec4b8636f262d129"), ("latr", 8_199, "bb22631ac48f65d7")],
+)
+def test_apache_process_order_fingerprint(mechanism, events, expected):
+    # A 6-core cell, 2 + 3 ms: workers charge CPU under locks, and under
+    # linux the shootdown IPIs steal time from running charges.
+    order = []
+    run_apache_cold(mechanism, order_log=order, cores=6, warmup_ms=2, duration_ms=3)
+    assert len(order) == events
+    assert _fingerprint(order) == expected
+
+
+@pytest.mark.parametrize(
+    "seed, events, expected",
+    [(1, 3_882, "fe63722d37a7c3d8"), (7919, 3_870, "3b35d7b7049bd0b7")],
+)
+def test_fleet_smoke_process_order_fingerprint(seed, events, expected):
+    order = []
+    run_fleet_stress(scope=FLEET_SMOKE_SCOPE, seed=seed, order_log=order)
+    assert len(order) == events
     assert _fingerprint(order) == expected
 
 
@@ -127,7 +154,8 @@ def test_mc_mutation_state_set_fingerprint(mutation, states, expected):
 @pytest.fixture(scope="module")
 def serial_tables():
     ids = available_experiments()
-    return ids, {exp_id: run_experiment(exp_id, fast=True).render() for exp_id in ids}
+    runs = run_many(ids, fast=True)
+    return ids, {run.exp_id: run.result.render() for run in runs}
 
 
 #: sha256(render().encode()).hexdigest()[:16] of every experiment's

@@ -16,7 +16,8 @@ from repro.experiments import (
     run_experiment,
     run_many,
 )
-from repro.experiments.runner import execute_cell, run_cells
+from repro.experiments import runner
+from repro.experiments.runner import ExperimentSpec, execute_cell, run_cells
 
 import helpers
 
@@ -66,6 +67,52 @@ class TestInlineExecution:
         outcome = execute_cell(cell)
         assert outcome.events > 0
         assert outcome.cell is cell
+
+
+class TestSharedCells:
+    """``run_many`` runs a cell that several experiments ask for once."""
+
+    @staticmethod
+    def _register(monkeypatch, exp_id, seen):
+        def cells(fast):
+            return [
+                RunCell(exp_id=exp_id, cell_id="shared", fn="helpers:list_cell",
+                        params={"tag": "s"}, fast=fast),
+                RunCell(exp_id=exp_id, cell_id="own", fn="helpers:list_cell",
+                        params={"tag": exp_id}, fast=fast),
+            ]
+
+        def assemble(values, fast):
+            seen[exp_id] = [list(value) for value in values]
+            values[0].append(f"mutated by {exp_id}")
+            return ExperimentResult(exp_id, exp_id, ("v",), [(v[0],) for v in values])
+
+        monkeypatch.setitem(runner._REGISTRY, exp_id, ExperimentSpec(exp_id, cells, assemble))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runs_once_and_each_experiment_gets_its_own_value(self, monkeypatch, jobs):
+        helpers.MARKER_CALLS.clear()
+        seen = {}
+        for exp_id in ("xa", "xb"):
+            self._register(monkeypatch, exp_id, seen)
+        runs = run_many(["xa", "xb"], fast=True, jobs=jobs)
+        if jobs == 1:
+            assert sorted(helpers.MARKER_CALLS) == ["s", "xa", "xb"]
+        # xa's assemble mutated its value before xb's ran.
+        assert seen == {"xa": [["s"], ["xa"]], "xb": [["s"], ["xb"]]}
+        (first, _), (second, _) = runs[0].outcomes, runs[1].outcomes
+        assert (first.cell.exp_id, second.cell.exp_id) == ("xa", "xb")
+        # The shared cell's time and events are billed to the first asker.
+        assert (second.wall_s, second.events) == (0.0, 0)
+
+    def test_fast_cells_of_all_experiments_are_127_distinct(self):
+        # fig1's six Apache cells are fig9 cells; tab4 and tab5 repeat the
+        # 12-core Apache cells, fig12 canneal and tab4 dedup (both fig10).
+        every = [
+            cell for exp_id in available_experiments()
+            for cell in experiment_cells(exp_id, fast=True)
+        ]
+        assert (len(every), len({runner._cell_key(cell) for cell in every})) == (141, 127)
 
 
 class TestShardedExecution:

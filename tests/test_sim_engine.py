@@ -514,3 +514,78 @@ class TestOrderingEdges:
         sim.after(100, lambda: None)
         sim.run(until=10_000)
         assert sim.now == 10_000
+
+
+class TestRunStop:
+    """``run(stop=signal)`` ends right after the event that fires it."""
+
+    @staticmethod
+    def _race(sim, stop, fired):
+        for tag in "abc":
+            sim.at(100, fired.append, tag)
+        sim.at(100, stop.succeed)
+        sim.at(100, fired.append, "same-instant")
+        sim.at(200, fired.append, "later")
+
+    def test_stops_after_the_firing_event_and_keeps_its_clock(self):
+        sim = Simulator()
+        stop, fired = sim.signal(), []
+        self._race(sim, stop, fired)
+        assert sim.run(until=1_000, stop=stop) == 4
+        assert fired == ["a", "b", "c"] and sim.now == 100
+        assert sim.pending() == 2
+        sim.run()
+        assert fired == ["a", "b", "c", "same-instant", "later"]
+        assert sim.events_executed == 6
+
+    def test_matches_a_step_loop(self):
+        runs = []
+        for stepped in (False, True):
+            sim = Simulator()
+            sim.order_log = []
+            stop, fired = sim.signal(), []
+            self._race(sim, stop, fired)
+            sim.every(30, fired.append, "tick")
+            if stepped:
+                while not stop.triggered and sim.step():
+                    pass
+            else:
+                sim.run(until=10_000, stop=stop)
+            runs.append((fired, sim.now, sim.pending(), sim.order_log))
+        assert runs[0] == runs[1]
+
+    def test_unfired_stop_is_disarmed_when_the_run_ends(self):
+        sim = Simulator()
+        stop, fired = sim.signal(), []
+        sim.at(50, fired.append, "x")
+        sim.run(until=80, stop=stop)
+        assert sim.now == 80  # drained before until: the clock advances
+        sim.at(90, stop.succeed)
+        sim.at(90, fired.append, "y")
+        sim.run()  # a later run without stop is not halted by it
+        assert fired == ["x", "y"] and sim.pending() == 0
+
+    def test_fired_stop_returns_at_once(self):
+        sim = Simulator()
+        stop = sim.signal()
+        stop.succeed()
+        sim.at(10, lambda: None)
+        assert sim.run(until=100, stop=stop) == 0
+        assert sim.now == 0 and sim.pending() == 1
+
+    def test_max_events_break_disarms_the_sentinel(self):
+        sim = Simulator()
+        stop, fired = sim.signal(), []
+        sim.at(10, stop.succeed)
+        sim.at(10, fired.append, "after")
+        assert sim.run(stop=stop, max_events=1) == 1
+        assert sim.pending() == 1
+        sim.run()  # not halted by the sentinel left queued
+        assert fired == ["after"] and sim.pending() == 0
+
+    def test_choice_hook_path_stops_too(self):
+        sim = Simulator(choice_hook=lambda ready: None)
+        stop, fired = sim.signal(), []
+        self._race(sim, stop, fired)
+        assert sim.run(until=1_000, stop=stop) == 4
+        assert fired == ["a", "b", "c"] and sim.now == 100

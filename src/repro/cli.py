@@ -19,7 +19,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .experiments import available_experiments, run_experiment, run_many
+from .experiments import available_experiments, iter_runs, run_many
 from .experiments.runner import WorkerDiedError
 
 # Tier-1 line-coverage floor enforced by `repro ci` when pytest-cov is
@@ -227,12 +227,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"in {elapsed:.1f}s wall]"
             )
         else:
+            # One experiment at a time, each table printed as it is done; a
+            # cell an earlier experiment ran is not run again.
+            runs = iter_runs(exp_ids, fast=args.fast)
             for exp_id in exp_ids:
                 step = f"experiment {exp_id}"
                 started = time.time()
-                result = run_experiment(exp_id, fast=args.fast)
+                run = next(runs)
                 elapsed = time.time() - started
-                _emit(exp_id, result, sink, args.csv_dir)
+                _emit(exp_id, run.result, sink, args.csv_dir)
                 print(f"[{exp_id} done in {elapsed:.1f}s]\n")
     except WorkerDiedError as exc:
         # A cell that raised keeps its traceback (a bug); a worker that

@@ -21,6 +21,7 @@ from .runner import (
     available_experiments,
     execute_experiment,
     experiment_cells,
+    iter_runs,
     run_experiment,
     run_many,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "available_experiments",
     "execute_experiment",
     "experiment_cells",
+    "iter_runs",
     "run_experiment",
     "run_many",
 ]

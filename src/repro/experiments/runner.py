@@ -41,8 +41,9 @@ import copy
 import importlib
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -438,57 +439,64 @@ def run_experiment(exp_id: str, fast: bool = False, jobs: int = 1) -> Experiment
 def run_many(
     exp_ids: Sequence[str], fast: bool = False, jobs: int = 1
 ) -> List[ExperimentRun]:
-    """Run several experiments, sharding the *union* of their cells.
+    """Run several experiments; :func:`iter_runs` as a list."""
+    return list(iter_runs(exp_ids, fast=fast, jobs=jobs))
 
-    With ``jobs > 1`` every cell of every experiment goes into one shared
-    pool, so single-cell (sequential-fallback) experiments overlap with the
-    big sweeps instead of serializing between them -- this is what makes
-    ``python -m repro all --fast --jobs N`` scale. Results come back in
-    ``exp_ids`` order with tables identical to per-experiment serial runs.
+
+def iter_runs(
+    exp_ids: Sequence[str], fast: bool = False, jobs: int = 1
+) -> Iterator[ExperimentRun]:
+    """Run several experiments, yielding each one's run in ``exp_ids``
+    order as soon as its table is assembled.
+
+    With ``jobs > 1`` every distinct cell of every experiment goes into
+    one shared pool first, so single-cell (sequential-fallback)
+    experiments overlap with the big sweeps instead of serializing between
+    them -- this is what makes ``python -m repro all --fast --jobs N``
+    scale. With ``jobs == 1`` each experiment runs the cells it is the
+    first to ask for, inline, when its turn comes. Tables are identical to
+    per-experiment serial runs either way.
 
     A cell that several experiments ask for (the same ``fn``, ``params``,
     ``seed`` and ``fast``: fig1's Apache cells are fig9 cells, canneal and
     dedup repeat) runs once; cells are pure, so its value does not depend
     on which experiment ran it. Its wall time and events are billed to the
     first experiment, in ``exp_ids`` order, that asked for it. Every later
-    one gets a deep copy of the value, taken before any ``assemble`` runs,
-    with 0 s and 0 events, so no ``assemble`` can mutate another
-    experiment's input.
+    one gets a deep copy of the value, taken before the first one's
+    ``assemble`` runs, with 0 s and 0 events, so no ``assemble`` can
+    mutate another experiment's input.
     """
     specs = [experiment_spec(exp_id) for exp_id in exp_ids]
     cell_lists = [spec.cells(fast) for spec in specs]
-    first: Dict[Tuple[str, str, int, bool], int] = {}
-    distinct: List[RunCell] = []
-    for cell_list in cell_lists:
-        for cell in cell_list:
-            key = _cell_key(cell)
-            if key not in first:
-                first[key] = len(distinct)
-                distinct.append(cell)
-    outcomes = run_cells(distinct, jobs=jobs)
-    billed = [False] * len(distinct)
-    chunks: List[List[CellOutcome]] = []
-    for cell_list in cell_lists:
+    askers = Counter(_cell_key(cell) for cells in cell_lists for cell in cells)
+    ran: Dict[Tuple[str, str, int, bool], CellOutcome] = {}
+    if resolve_jobs(jobs) > 1:
+        distinct: Dict[Tuple[str, str, int, bool], RunCell] = {}
+        for cells in cell_lists:
+            for cell in cells:
+                distinct.setdefault(_cell_key(cell), cell)
+        ran = dict(zip(distinct, run_cells(list(distinct.values()), jobs=jobs)))
+    #: key -> a pristine copy of the value, for the askers still to come.
+    kept: Dict[Tuple[str, str, int, bool], object] = {}
+    for spec, cells in zip(specs, cell_lists):
         chunk = []
-        for cell in cell_list:
-            i = first[_cell_key(cell)]
-            outcome = outcomes[i]
-            if billed[i]:
-                outcome = CellOutcome(
-                    cell=cell, value=copy.deepcopy(outcome.value), wall_s=0.0, events=0
-                )
-            billed[i] = True
+        for cell in cells:
+            key = _cell_key(cell)
+            askers[key] -= 1
+            if key in kept:
+                value = kept.pop(key) if not askers[key] else copy.deepcopy(kept[key])
+                outcome = CellOutcome(cell=cell, value=value, wall_s=0.0, events=0)
+            else:
+                outcome = ran.pop(key, None) or execute_cell(cell)
+                if askers[key]:
+                    kept[key] = copy.deepcopy(outcome.value)
             chunk.append(outcome)
-        chunks.append(chunk)
-    return [
-        ExperimentRun(
+        yield ExperimentRun(
             exp_id=spec.exp_id,
             result=spec.assemble([outcome.value for outcome in chunk], fast),
             outcomes=chunk,
             jobs=jobs,
         )
-        for spec, chunk in zip(specs, chunks)
-    ]
 
 
 def _cell_key(cell: RunCell) -> Tuple[str, str, int, bool]:

@@ -55,7 +55,7 @@ class KsmDaemon:
         groups: Dict[str, List[Tuple[KProcess, int, Pte]]] = defaultdict(list)
         examined = 0
         for process in self._registered:
-            for vpn, pte in list(process.mm.page_table.all_entries()):
+            for vpn, pte in process.mm.page_table.all_entries():
                 if not pte.present or pte.cow or pte.huge:
                     continue
                 tag = kernel.page_contents.get(pte.pfn)

@@ -153,7 +153,7 @@ class PageFaultHandler:
     def _huge_fault(self, task, core, vma: Vma, vpn: int, write: bool) -> Generator:
         """Try to satisfy the fault with one 2 MiB mapping; None on
         fragmentation (caller falls back to 4 KiB)."""
-        from ..mm.addr import HUGE_PAGE_PAGES, VirtRange, huge_base_vpn
+        from ..mm.addr import HUGE_PAGE_PAGES, huge_base_vpn
         from ..mm.frames import FrameAllocatorError
         from ..mm.pte import make_huge_pte
 
@@ -162,9 +162,9 @@ class PageFaultHandler:
         mm = task.mm
         base_vpn = huge_base_vpn(vpn)
         # Some of the 512 pages may already have 4 KiB mappings (earlier
-        # fallback faults); those block a PD-level entry.
-        huge_range = VirtRange.from_pages(base_vpn, HUGE_PAGE_PAGES)
-        if any(True for _ in mm.page_table.entries_in_range(huge_range)):
+        # fallback faults); those block a PD-level entry. (No huge mapping
+        # covers them: the walk that led here found nothing.)
+        if mm.page_table.has_4k_under(base_vpn):
             return None
         try:
             base_pfn = kernel.frames.alloc_contiguous(HUGE_PAGE_PAGES, node=core.socket)

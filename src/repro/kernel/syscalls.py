@@ -127,7 +127,7 @@ class Syscalls:
             # (partially-covered huge mappings would need a THP split,
             # which we don't model -- unmap them whole). A compound page
             # frees as a few buddy operations, not 512.
-            for base_vpn, hpte in list(mm.page_table.huge_in_range(vrange)):
+            for base_vpn, hpte in mm.page_table.huge_in_range(vrange):
                 mm.page_table.clear_huge_pte(base_vpn)
                 pte_work += lat.pte_clear_ns
                 cleared_entries += 1
@@ -201,7 +201,7 @@ class Syscalls:
             for vma in mm.vmas.overlapping(vrange):
                 vma.prot = new_prot
             pte_work = 0
-            for vpn, pte in list(mm.page_table.entries_in_range(vrange)):
+            for vpn, pte in mm.page_table.entries_in_range(vrange):
                 if not pte.present:
                     continue
                 if new_prot & Prot.WRITE:
@@ -309,7 +309,7 @@ class Syscalls:
                     )
                 )
                 pte_work = 0
-                for vpn, pte in list(mm.page_table.entries_in_range(vma.range)):
+                for vpn, pte in mm.page_table.entries_in_range(vma.range):
                     if not pte.present:
                         continue
                     shared = pte.with_flags(add=PteFlags.COW, drop=PteFlags.WRITE)

@@ -1,22 +1,26 @@
-"""Four-level radix page table (x86-64 style: PML4 -> PDPT -> PD -> PT).
+"""Page table: one flat ``vpn -> Pte`` store with x86-64 four-level
+(PML4 -> PDPT -> PD -> PT) table-page accounting.
 
-Nine VPN bits select the slot at each level. Interior nodes are dicts so
-sparse address spaces stay cheap; the structure still gives realistic
-walk/teardown behaviour (levels allocated on demand, freed when empty) and
-lets tests compare against a flat shadow model.
+A hardware walk is one dict probe. The radix tree survives only in the
+accounting, as a live count per table page: a PT page (keyed ``vpn >> 9``)
+counts its entries, a PD page (``vpn >> 18``) or PDPT page (``vpn >> 27``)
+its live child pages. A count's 0 -> 1 step is the radix tree allocating
+that page and its 1 -> 0 step is the tree pruning it (free_pgtables()),
+so ``table_pages_allocated`` and a replica's page count read exactly as a
+radix tree's would.
 """
 
 from __future__ import annotations
 
 from itertools import count
-from typing import Dict, Iterator, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from .addr import HUGE_PAGE_PAGES, VirtRange, huge_base_vpn, is_huge_aligned
 from .pte import Pte, make_present_pte
 
 LEVELS = 4
 BITS_PER_LEVEL = 9
-SLOTS_PER_LEVEL = 1 << BITS_PER_LEVEL
 
 #: Process-global version numbers for page-table change tracking;
 #: values are never reused, so equal versions imply identical contents
@@ -24,25 +28,27 @@ SLOTS_PER_LEVEL = 1 << BITS_PER_LEVEL
 _VERSIONS = count(1)
 
 
-def _indices(vpn: int) -> Tuple[int, int, int, int]:
-    """Split a VPN into (pml4, pdpt, pd, pt) slot indices."""
-    pt = vpn & (SLOTS_PER_LEVEL - 1)
-    pd = (vpn >> BITS_PER_LEVEL) & (SLOTS_PER_LEVEL - 1)
-    pdpt = (vpn >> (2 * BITS_PER_LEVEL)) & (SLOTS_PER_LEVEL - 1)
-    pml4 = (vpn >> (3 * BITS_PER_LEVEL)) & (SLOTS_PER_LEVEL - 1)
-    return pml4, pdpt, pd, pt
-
-
 class PageTable:
-    """A process's page table; one per MmStruct."""
+    """A process's page table; one per MmStruct.
+
+    The range queries (``entries_in_range``, ``all_entries``,
+    ``huge_in_range``) return new lists, so a caller may change the table
+    while it goes through one (munmap, mprotect and fork do)."""
 
     def __init__(self):
-        self._root: Dict[int, Dict] = {}
-        self._count = 0
+        #: 4 KiB mappings: vpn -> Pte.
+        self._ptes: Dict[int, Pte] = {}
         #: PD-level 2 MiB mappings: base_vpn -> Pte with the HUGE flag.
         #: (Kept in a side table for clarity; semantically these live in
         #: the PD slot that would otherwise point at a PT page.)
         self._huge: Dict[int, Pte] = {}
+        #: Live counts of the table pages below the root, one map per
+        #: level: PT pages (``vpn >> 9`` -> entries), PD pages
+        #: (``vpn >> 18`` -> live PT pages), PDPT pages (``vpn >> 27`` ->
+        #: live PD pages). A page is live while its count is non-zero.
+        self._pt_pages: Dict[int, int] = {}
+        self._pd_pages: Dict[int, int] = {}
+        self._pdpt_pages: Dict[int, int] = {}
         #: table-page allocations, for memory-overhead accounting
         self.table_pages_allocated = 1  # the root
         #: Optional ``observer(event, vpn)`` invoked after every mutation
@@ -53,22 +59,17 @@ class PageTable:
         self._version = next(_VERSIONS)
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._ptes)
 
     def walk(self, vpn: int) -> Optional[Pte]:
         """Hardware walk: return the PTE for ``vpn`` or None.
 
         A huge mapping covering ``vpn`` wins (the walk stops at the PD)."""
-        huge = self._huge.get(huge_base_vpn(vpn))
-        if huge is not None:
-            return huge
-        node = self._root
-        pml4, pdpt, pd, pt = _indices(vpn)
-        for idx in (pml4, pdpt, pd):
-            node = node.get(idx)
-            if node is None:
-                return None
-        return node.get(pt)
+        if self._huge:
+            huge = self._huge.get(huge_base_vpn(vpn))
+            if huge is not None:
+                return huge
+        return self._ptes.get(vpn)
 
     # ---- huge (2 MiB) mappings ----------------------------------------------
 
@@ -80,10 +81,9 @@ class PageTable:
             raise ValueError(f"huge mapping not 2MiB-aligned: vpn {base_vpn:#x}")
         if not pte.huge:
             raise ValueError("set_huge_pte needs a HUGE-flagged pte")
-        covered = VirtRange.from_pages(base_vpn, HUGE_PAGE_PAGES)
-        for vpn in covered.vpns():
-            if self._walk_4k(vpn) is not None:
-                raise ValueError(f"4K entry at {vpn:#x} blocks huge mapping")
+        if self.has_4k_under(base_vpn):
+            vpn = min(v for v in self._ptes if huge_base_vpn(v) == base_vpn)
+            raise ValueError(f"4K entry at {vpn:#x} blocks huge mapping")
         self._huge[base_vpn] = pte
         if self.observer is not None:
             self.observer("set_huge", base_vpn)
@@ -95,42 +95,44 @@ class PageTable:
             self.observer("clear_huge", base_vpn)
         return prev
 
-    def huge_in_range(self, vrange: VirtRange):
+    def huge_in_range(self, vrange: VirtRange) -> List[Tuple[int, Pte]]:
         """(base_vpn, pte) for huge mappings fully inside ``vrange``."""
-        for base_vpn, pte in sorted(self._huge.items()):
-            if vrange.vpn_start <= base_vpn and base_vpn + HUGE_PAGE_PAGES <= vrange.vpn_end:
-                yield base_vpn, pte
+        return [
+            (base_vpn, pte)
+            for base_vpn, pte in sorted(self._huge.items())
+            if vrange.vpn_start <= base_vpn and base_vpn + HUGE_PAGE_PAGES <= vrange.vpn_end
+        ]
 
     def huge_count(self) -> int:
         return len(self._huge)
 
-    def _walk_4k(self, vpn: int) -> Optional[Pte]:
-        node = self._root
-        pml4, pdpt, pd, pt = _indices(vpn)
-        for idx in (pml4, pdpt, pd):
-            node = node.get(idx)
-            if node is None:
-                return None
-        return node.get(pt)
+    def has_4k_under(self, base_vpn: int) -> bool:
+        """Whether any 4 KiB entry lies in the 2 MiB range at the aligned
+        ``base_vpn``. That range is exactly one PT page, so this is one
+        probe of the PT-page counts."""
+        return (base_vpn >> BITS_PER_LEVEL) in self._pt_pages
+
+    # ---- 4 KiB mappings -------------------------------------------------------
 
     def set_pte(self, vpn: int, pte: Pte) -> Optional[Pte]:
         """Install a 4 KiB PTE; returns the previous entry if any."""
         self._version = next(_VERSIONS)
-        if huge_base_vpn(vpn) in self._huge:
+        if self._huge and huge_base_vpn(vpn) in self._huge:
             raise ValueError(f"vpn {vpn:#x} covered by a huge mapping")
-        node = self._root
-        pml4, pdpt, pd, pt = _indices(vpn)
-        for idx in (pml4, pdpt, pd):
-            nxt = node.get(idx)
-            if nxt is None:
-                nxt = {}
-                node[idx] = nxt
-                self.table_pages_allocated += 1
-            node = nxt
-        prev = node.get(pt)
-        node[pt] = pte
+        ptes = self._ptes
+        prev = ptes.get(vpn)
+        ptes[vpn] = pte
         if prev is None:
-            self._count += 1
+            # Count the entry in its PT page, and a page that goes live in
+            # its parent, as far up as the first page that was live already.
+            key = vpn
+            for pages in (self._pt_pages, self._pd_pages, self._pdpt_pages):
+                key >>= BITS_PER_LEVEL
+                n = pages.get(key, 0)
+                pages[key] = n + 1
+                if n:
+                    break
+                self.table_pages_allocated += 1
         if self.observer is not None:
             self.observer("set", vpn)
         return prev
@@ -138,27 +140,20 @@ class PageTable:
     def clear_pte(self, vpn: int) -> Optional[Pte]:
         """Remove the PTE for ``vpn``; returns it (None if unmapped).
 
-        Empty interior nodes are pruned, mirroring free_pgtables().
+        Table pages left empty are pruned, mirroring free_pgtables().
         """
         self._version = next(_VERSIONS)
-        pml4, pdpt, pd, pt = _indices(vpn)
-        path = []
-        node = self._root
-        for idx in (pml4, pdpt, pd):
-            nxt = node.get(idx)
-            if nxt is None:
-                return None
-            path.append((node, idx))
-            node = nxt
-        prev = node.pop(pt, None)
+        prev = self._ptes.pop(vpn, None)
         if prev is None:
             return None
-        self._count -= 1
-        for parent, idx in reversed(path):
-            child = parent[idx]
-            if child:
+        key = vpn
+        for pages in (self._pt_pages, self._pd_pages, self._pdpt_pages):
+            key >>= BITS_PER_LEVEL
+            n = pages[key] - 1
+            if n:
+                pages[key] = n
                 break
-            del parent[idx]
+            del pages[key]
         if self.observer is not None:
             self.observer("clear", vpn)
         return prev
@@ -170,111 +165,71 @@ class PageTable:
         (mprotect over a collapsed range rewrites the single huge PTE).
         """
         self._version = next(_VERSIONS)
-        base = huge_base_vpn(vpn)
-        if base in self._huge:
-            self._huge[base] = pte
-            if self.observer is not None:
-                self.observer("set_huge", base)
-            return
-        node = self._root
-        pml4, pdpt, pd, pt = _indices(vpn)
-        for idx in (pml4, pdpt, pd):
-            node = node.get(idx)
-            if node is None:
-                raise KeyError(f"update of unmapped vpn {vpn:#x}")
-        if pt not in node:
+        if self._huge:
+            base = huge_base_vpn(vpn)
+            if base in self._huge:
+                self._huge[base] = pte
+                if self.observer is not None:
+                    self.observer("set_huge", base)
+                return
+        if vpn not in self._ptes:
             raise KeyError(f"update of unmapped vpn {vpn:#x}")
-        node[pt] = pte
+        self._ptes[vpn] = pte
         if self.observer is not None:
             self.observer("set", vpn)
 
-    def entries_in_range(self, vrange: VirtRange) -> Iterator[Tuple[int, Pte]]:
-        """Yield (vpn, pte) for every mapped 4 KiB page in ``vrange``
-        (huge mappings are surfaced once, at their base vpn).
+    # ---- iteration ------------------------------------------------------------
 
-        Descends the radix tree, so cost is O(mapped entries in range),
-        not O(range length). Yield order matches the historical per-vpn
-        probe exactly: ascending by position, where a huge mapping's
-        position is the first covered vpn inside the range (its base,
-        or ``vpn_start`` when the range starts mid-huge) but it is
-        yielded at its base vpn.
+    def entries_in_range(self, vrange: VirtRange) -> List[Tuple[int, Pte]]:
+        """(vpn, pte) for every mapped 4 KiB page in ``vrange`` (huge
+        mappings are surfaced once, at their base vpn).
+
+        Ascending by position, where a huge mapping's position is the
+        first covered vpn inside the range (its base, or ``vpn_start`` when
+        the range starts mid-huge). One sorted pass over the entries, so
+        the cost is never O(range length) for a sparse table.
         """
         start, end = vrange.vpn_start, vrange.vpn_end
-        if start >= end:
-            return
-        overlapping = sorted(
+        found = sorted(item for item in self._ptes.items() if start <= item[0] < end)
+        if not self._huge:
+            return found
+        # No 4 KiB entry can sit under a huge mapping, so positions never
+        # tie and one sort by position merges the two kinds.
+        merged = [(vpn, vpn, pte) for vpn, pte in found]
+        merged += [
             (max(base, start), base, pte)
             for base, pte in self._huge.items()
             if base < end and base + HUGE_PAGE_PAGES > start
+        ]
+        merged.sort(key=itemgetter(0))
+        return [(vpn, pte) for _pos, vpn, pte in merged]
+
+    def all_entries(self) -> List[Tuple[int, Pte]]:
+        """Every huge entry (once, at its base), then every 4 KiB entry,
+        each kind in ascending vpn order."""
+        return sorted(self._huge.items()) + sorted(self._ptes.items())
+
+    # ---- whole-table state ----------------------------------------------------
+
+    def copy_state(self) -> Tuple:
+        """A copy of the contents, for :meth:`load_state`: the dicts are
+        copied, the immutable ``Pte`` leaves shared."""
+        return (
+            dict(self._ptes), dict(self._huge), dict(self._pt_pages),
+            dict(self._pd_pages), dict(self._pdpt_pages),
+            self.table_pages_allocated,
         )
-        entries_4k = self._entries_4k_in_range(start, end)
-        nxt = next(entries_4k, None)
-        # No 4 KiB entry can exist under a huge mapping, so positions
-        # never tie and a plain two-way merge preserves the probe order.
-        for pos, base, pte in overlapping:
-            while nxt is not None and nxt[0] < pos:
-                yield nxt
-                nxt = next(entries_4k, None)
-            yield base, pte
-        while nxt is not None:
-            yield nxt
-            nxt = next(entries_4k, None)
 
-    def _entries_4k_in_range(self, start: int, end: int) -> Iterator[Tuple[int, Pte]]:
-        """Radix descent over 4 KiB entries with vpn in [start, end)."""
-        span_pml4 = 1 << (3 * BITS_PER_LEVEL)
-        span_pdpt = 1 << (2 * BITS_PER_LEVEL)
-        span_pd = 1 << BITS_PER_LEVEL
-        for pml4_idx, pdpt_node in sorted(self._root.items()):
-            base1 = pml4_idx << (3 * BITS_PER_LEVEL)
-            if base1 >= end or base1 + span_pml4 <= start:
-                continue
-            for pdpt_idx, pd_node in sorted(pdpt_node.items()):
-                base2 = base1 | (pdpt_idx << (2 * BITS_PER_LEVEL))
-                if base2 >= end or base2 + span_pdpt <= start:
-                    continue
-                for pd_idx, pt_node in sorted(pd_node.items()):
-                    base3 = base2 | (pd_idx << BITS_PER_LEVEL)
-                    if base3 >= end or base3 + span_pd <= start:
-                        continue
-                    for pt_idx, pte in sorted(pt_node.items()):
-                        vpn = base3 | pt_idx
-                        if start <= vpn < end:
-                            yield vpn, pte
-
-    def _entries_in_range_probing(self, vrange: VirtRange) -> Iterator[Tuple[int, Pte]]:
-        """The historical O(range) per-vpn probe, kept as the reference
-        implementation for the equivalence test of the radix descent."""
-        seen_huge = set()
-        for vpn in vrange.vpns():
-            base = huge_base_vpn(vpn)
-            huge = self._huge.get(base)
-            if huge is not None:
-                if base not in seen_huge:
-                    seen_huge.add(base)
-                    yield base, huge
-                continue
-            pte = self._walk_4k(vpn)
-            if pte is not None:
-                yield vpn, pte
-
-    def all_entries(self) -> Iterator[Tuple[int, Pte]]:
-        """Every 4 KiB entry plus every huge entry (once, at its base)."""
-        yield from sorted(self._huge.items())
-        yield from self._all_4k_entries()
-
-    def _all_4k_entries(self) -> Iterator[Tuple[int, Pte]]:
-        for pml4_idx, pdpt_node in sorted(self._root.items()):
-            for pdpt_idx, pd_node in sorted(pdpt_node.items()):
-                for pd_idx, pt_node in sorted(pd_node.items()):
-                    for pt_idx, pte in sorted(pt_node.items()):
-                        vpn = (
-                            (pml4_idx << (3 * BITS_PER_LEVEL))
-                            | (pdpt_idx << (2 * BITS_PER_LEVEL))
-                            | (pd_idx << BITS_PER_LEVEL)
-                            | pt_idx
-                        )
-                        yield vpn, pte
+    def load_state(self, state: Tuple) -> None:
+        """Make the contents a copy of ``state`` (a :meth:`copy_state`
+        tuple), which stays intact for any later load."""
+        ptes, huge, pt_pages, pd_pages, pdpt_pages, pages = state
+        self._ptes = dict(ptes)
+        self._huge = dict(huge)
+        self._pt_pages = dict(pt_pages)
+        self._pd_pages = dict(pd_pages)
+        self._pdpt_pages = dict(pdpt_pages)
+        self.table_pages_allocated = pages
 
 
 class ReplicatedPageTable(PageTable):
@@ -365,88 +320,21 @@ class ReplicatedPageTable(PageTable):
             self.observer(event, vpn)
 
     def _mirror(self, method: str, *args) -> None:
-        """Apply one canonical mutation to every live replica.
-
-        The two ops the fault and munmap paths hammer (``set_pte`` /
-        ``clear_pte``) take inlined fast paths that share one index split
-        across all replicas; mutation hooks (``broken_replica``) wrap this
-        method, so dispatch stays here. The fast paths must mutate exactly
-        like :class:`PageTable`'s -- the shadow-model property test and the
-        replica-coherence monitor guard that equivalence."""
+        """Apply one canonical mutation to every live replica, through the
+        replica's own mutator. A clear counts a replica update only where
+        the replica held the entry. Mutation hooks (``broken_replica``)
+        wrap this method, so dispatch stays here."""
         if not self._replicas:
             return
-        if method == "set_pte":
-            self._mirror_set(*args)
-        elif method == "clear_pte":
-            self._mirror_clear(*args)
-        else:
-            skip = self._skip_replica_nodes
-            pending = self._pending_updates
-            n = 0
-            for node, replica in self._replicas.items():
-                if node in skip:
-                    continue
-                getattr(replica, method)(*args)
-                pending[node] = pending.get(node, 0) + 1
-                n += 1
-            self.replica_updates += n
-
-    def _mirror_set(self, vpn: int, pte: Pte) -> None:
-        """Fan out one 4 KiB install (PageTable.set_pte, sans the huge
-        check -- the canonical mutation already vetted it)."""
         skip = self._skip_replica_nodes
         pending = self._pending_updates
-        pml4, pdpt, pd, pt = _indices(vpn)
+        clear = method == "clear_pte"
         n = 0
         for node, replica in self._replicas.items():
             if node in skip:
                 continue
-            replica._version = next(_VERSIONS)
-            level = replica._root
-            for idx in (pml4, pdpt, pd):
-                nxt = level.get(idx)
-                if nxt is None:
-                    nxt = {}
-                    level[idx] = nxt
-                    replica.table_pages_allocated += 1
-                level = nxt
-            if pt not in level:
-                replica._count += 1
-            level[pt] = pte
-            pending[node] = pending.get(node, 0) + 1
-            n += 1
-        self.replica_updates += n
-
-    def _mirror_clear(self, vpn: int) -> None:
-        """Fan out one 4 KiB teardown (PageTable.clear_pte, including the
-        interior-node pruning)."""
-        skip = self._skip_replica_nodes
-        pending = self._pending_updates
-        pml4, pdpt, pd, pt = _indices(vpn)
-        n = 0
-        for node, replica in self._replicas.items():
-            if node in skip:
+            if getattr(replica, method)(*args) is None and clear:
                 continue
-            replica._version = next(_VERSIONS)
-            root = replica._root
-            pdpt_d = root.get(pml4)
-            if pdpt_d is None:
-                continue
-            pd_d = pdpt_d.get(pdpt)
-            if pd_d is None:
-                continue
-            pt_d = pd_d.get(pd)
-            if pt_d is None:
-                continue
-            if pt_d.pop(pt, None) is None:
-                continue
-            replica._count -= 1
-            if not pt_d:
-                del pd_d[pd]
-                if not pd_d:
-                    del pdpt_d[pdpt]
-                    if not pdpt_d:
-                        del root[pml4]
             pending[node] = pending.get(node, 0) + 1
             n += 1
         self.replica_updates += n
@@ -469,27 +357,15 @@ class ReplicatedPageTable(PageTable):
     def _materialize(self, node: int) -> PageTable:
         """Clone the canonical table as ``node``'s replica.
 
-        Interior dicts are copied (and counted as that node's table
-        pages); ``Pte`` leaves are shared with the canonical table.
+        The stores are copied; ``Pte`` leaves are shared with the canonical
+        table. The replica owns a root plus one page per live table page.
         """
         replica = PageTable()
-        pages = 1  # the replica's root
-        root: Dict[int, Dict] = {}
-        for pml4_idx, pdpt_node in self._root.items():
-            new_pdpt: Dict[int, Dict] = {}
-            pages += 1
-            for pdpt_idx, pd_node in pdpt_node.items():
-                new_pd: Dict[int, Dict] = {}
-                pages += 1
-                for pd_idx, pt_node in pd_node.items():
-                    new_pd[pd_idx] = dict(pt_node)
-                    pages += 1
-                new_pdpt[pdpt_idx] = new_pd
-            root[pml4_idx] = new_pdpt
-        replica._root = root
-        replica._count = self._count
-        replica._huge = dict(self._huge)
-        replica.table_pages_allocated = pages
+        pages = 1 + len(self._pt_pages) + len(self._pd_pages) + len(self._pdpt_pages)
+        replica.load_state((
+            self._ptes, self._huge, self._pt_pages, self._pd_pages,
+            self._pdpt_pages, pages,
+        ))
         replica._version = next(_VERSIONS)
         self._replicas[node] = replica
         self.replica_materializations += 1
@@ -534,7 +410,7 @@ class HostPageTable(PageTable):
     reclamation) can find and invalidate the host entry for a freed frame
     without scanning.
 
-    The table reuses :class:`PageTable`'s radix storage and version mint,
+    The table reuses :class:`PageTable`'s flat store and version mint,
     so snapshot/restore and the model checker's version-keyed canonical
     hashing cover host state with the same machinery as guest state.
     """

@@ -91,18 +91,6 @@ def _signal_restore(snap: Tuple[Signal, bool, Any, List]) -> None:
     sig._callbacks = list(callbacks)
 
 
-def _copy_pt_root(root: Dict) -> Dict:
-    # Four levels of dicts with frozen Pte leaves: copy the spine, share
-    # the leaves.
-    return {
-        pml4: {
-            pdpt: {pd: dict(pt) for pd, pt in l3.items()}
-            for pdpt, l3 in l2.items()
-        }
-        for pml4, l2 in root.items()
-    }
-
-
 def _tlb_snapshot(tlb) -> Tuple:
     # Slots and keys are ints, so only the containers -- the LRU order
     # of the two entry dicts -- are copied.
@@ -155,18 +143,14 @@ def _mm_snapshot(mm) -> Tuple:
         if isinstance(pt, ReplicatedPageTable):
             replicas = (
                 {
-                    node: (r._version, _copy_pt_root(r._root), r._count,
-                           dict(r._huge), r.table_pages_allocated)
+                    node: (r._version, r.copy_state())
                     for node, r in pt._replicas.items()
                 },
                 dict(pt._pending_updates),
                 pt.replica_updates,
                 pt.replica_materializations,
             )
-        pt_snap = pt._snap_cache = (
-            pt._version, _copy_pt_root(pt._root), pt._count, dict(pt._huge),
-            pt.table_pages_allocated, replicas,
-        )
+        pt_snap = pt._snap_cache = (pt._version, pt.copy_state(), replicas)
     # Host (EPT) slot for VM tasks: None for native mms, so flat
     # snapshots are shaped exactly as before with one trailing None.
     host = mm.host_table
@@ -175,8 +159,7 @@ def _mm_snapshot(mm) -> Tuple:
         host_snap = getattr(host, "_snap_cache", None)
         if host_snap is None or host_snap[0] != host._version:
             host_snap = host._snap_cache = (
-                host._version, _copy_pt_root(host._root), host._count,
-                dict(host._huge), host.table_pages_allocated,
+                host._version, host.copy_state(),
                 dict(host.gfn_of_pfn), host.next_gfn,
                 dict(host.generation_of_gfn),
             )
@@ -197,17 +180,14 @@ def _mm_restore(mm, snap: Tuple) -> None:
     (pt_snap, vma_snap, sem_counts, cpumask, users, bump, free_ranges,
      lazy_vranges, lazy_frames, map_generation, host_snap) = snap
     pt = mm.page_table
-    version, root, count, huge, table_pages, replicas = pt_snap
+    version, state, replicas = pt_snap
     if pt._version != version:
-        pt._root = _copy_pt_root(root)
-        pt._count = count
-        pt._huge = dict(huge)
-        pt.table_pages_allocated = table_pages
+        pt.load_state(state)
         if replicas is not None:
             repl_snaps, pending, updates, materializations = replicas
             live = {}
             for node, r_snap in repl_snaps.items():
-                r_version, r_root, r_count, r_huge, r_pages = r_snap
+                r_version, r_state = r_snap
                 replica = pt._replicas.get(node)
                 if replica is None:
                     # Dropped by an earlier restore; rebuild it in place.
@@ -215,10 +195,7 @@ def _mm_restore(mm, snap: Tuple) -> None:
                 elif replica._version == r_version:
                     live[node] = replica
                     continue
-                replica._root = _copy_pt_root(r_root)
-                replica._count = r_count
-                replica._huge = dict(r_huge)
-                replica.table_pages_allocated = r_pages
+                replica.load_state(r_state)
                 replica._version = r_version
                 live[node] = replica
             # Replicas materialized after the snapshot are dropped.
@@ -251,13 +228,9 @@ def _mm_restore(mm, snap: Tuple) -> None:
     mm.map_generation = map_generation
     host = mm.host_table
     if host_snap is not None and host is not None:
-        (h_version, h_root, h_count, h_huge, h_pages,
-         gfn_of_pfn, next_gfn, generation_of_gfn) = host_snap
+        (h_version, h_state, gfn_of_pfn, next_gfn, generation_of_gfn) = host_snap
         if host._version != h_version:
-            host._root = _copy_pt_root(h_root)
-            host._count = h_count
-            host._huge = dict(h_huge)
-            host.table_pages_allocated = h_pages
+            host.load_state(h_state)
             host.gfn_of_pfn = dict(gfn_of_pfn)
             host.next_gfn = next_gfn
             host.generation_of_gfn = dict(generation_of_gfn)

@@ -120,7 +120,7 @@ class PtPlacementBench:
 
         start_ns = system.sim.now
         driver_proc = system.sim.spawn(driver(), name="ptplace-driver")
-        system.sim.run(until=start_ns + 60_000 * MSEC)
+        system.sim.run(until=start_ns + 60_000 * MSEC, stop=driver_proc.done)
         if driver_proc.alive:
             raise RuntimeError("pt-placement run did not finish within the horizon")
         runtime_ns = finished["ns"] - start_ns
@@ -199,7 +199,7 @@ class MunmapMicrobench:
         driver_proc = system.sim.spawn(driver(), name="driver")
         # Generous bound: reps * (page faults + a few ticks of slack).
         horizon = (cfg.reps * max(1, cfg.pages) * 10 + 200) * MSEC // 100
-        system.sim.run(until=max(horizon, 500 * MSEC))
+        system.sim.run(until=max(horizon, 500 * MSEC), stop=driver_proc.done)
         if driver_proc.alive:
             raise RuntimeError("microbench did not finish within the horizon")
 
@@ -260,7 +260,7 @@ class MunmapMicrobench:
                 sample_peak()
 
         driver_proc = system.sim.spawn(driver())
-        system.sim.run(until=1000 * MSEC)
+        system.sim.run(until=1000 * MSEC, stop=driver_proc.done)
         if driver_proc.alive:
             raise RuntimeError("memory-overhead run did not finish")
         sample_peak()

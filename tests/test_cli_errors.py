@@ -47,7 +47,7 @@ class TestErrorPaths:
         def broken(*args, **kwargs):
             raise KeyError("llc.state_lines")
 
-        monkeypatch.setattr(runner, "execute_experiment", broken)
+        monkeypatch.setattr(runner, "execute_cell", broken)
         with pytest.raises(KeyError, match="llc.state_lines"):
             main(["tab1", "--fast"])
         assert capsys.readouterr().err == ""
@@ -204,7 +204,12 @@ class TestAbruptEnds:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
+        def interrupted_runs(*args, **kwargs):
+            # Lazy like iter_runs: the interrupt comes with the first run.
+            raise KeyboardInterrupt
+            yield
+
         monkeypatch.setattr(cli, "run_many", interrupted)
-        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        monkeypatch.setattr(cli, "iter_runs", interrupted_runs)
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [line]

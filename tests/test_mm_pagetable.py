@@ -1,8 +1,9 @@
-"""Unit tests for the 4-level page table."""
+"""Unit tests for the page table."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
+from radix_shadow import probe_entries
 
 from repro.mm.addr import HUGE_PAGE_PAGES, VirtRange
 from repro.mm.pagetable import PageTable
@@ -83,7 +84,7 @@ class TestStructure:
         pt = PageTable()
         pt.set_pte(0, make_present_pte(1))
         pt.clear_pte(0)
-        assert pt._root == {}
+        assert (pt._pt_pages, pt._pd_pages, pt._pdpt_pages) == ({}, {}, {})
 
     def test_sibling_not_pruned(self):
         pt = PageTable()
@@ -127,31 +128,26 @@ class TestIteration:
     def test_radix_descent_equivalent_to_probing(
         self, vpns, huge_bases, start, span
     ):
-        """Satellite gate: the radix-descending ``entries_in_range`` must
-        yield exactly what the old per-vpn probing walk yielded -- same
-        pairs, same order -- over mixed 4K + huge tables and arbitrary
-        ranges (including ones starting mid-huge-page)."""
+        """``entries_in_range`` must yield exactly what the per-vpn probe
+        yields -- same pairs, same order -- over mixed 4K + huge tables and
+        arbitrary ranges (including ones starting mid-huge-page)."""
         pt = PageTable()
         for vpn in vpns:
             pt.set_pte(vpn, make_present_pte(vpn))
         for base in huge_bases:
             pt.set_huge_pte(base, make_huge_pte(base))
         vr = VirtRange.from_pages(start, span)
-        assert list(pt.entries_in_range(vr)) == list(
-            pt._entries_in_range_probing(vr)
-        )
+        assert list(pt.entries_in_range(vr)) == probe_entries(pt, vr)
 
     def test_range_start_inside_huge_mapping(self):
         pt = PageTable()
         pt.set_huge_pte(0, make_huge_pte(0))
         vr = VirtRange.from_pages(HUGE_PAGE_PAGES // 2, HUGE_PAGE_PAGES)
-        assert list(pt.entries_in_range(vr)) == list(
-            pt._entries_in_range_probing(vr)
-        )
+        assert list(pt.entries_in_range(vr)) == probe_entries(pt, vr)
 
     def test_descent_cost_scales_with_mapped_not_range(self):
-        """The whole point of the radix descent: a huge sparse range costs
-        O(mapped entries), where probing walked every vpn."""
+        """A huge sparse range costs O(mapped entries), where probing
+        walked every vpn."""
         pt = PageTable()
         pt.set_pte(0, make_present_pte(1))
         pt.set_pte(1 << 34, make_present_pte(2))

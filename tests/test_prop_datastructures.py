@@ -4,10 +4,11 @@ import hypothesis.strategies as st
 import pytest
 from helpers import OP_LIST_PHASES
 from hypothesis import HealthCheck, given, settings
+from radix_shadow import RadixShadow
 
 from repro.mm.addr import PAGE_SIZE, VirtRange
 from repro.mm.frames import FrameAllocator, FrameAllocatorError
-from repro.mm.pagetable import PageTable
+from repro.mm.pagetable import PageTable, ReplicatedPageTable
 from repro.mm.pte import make_present_pte
 from repro.mm.vma import Prot, Vma, VmaSet, VmaSetError
 
@@ -35,8 +36,13 @@ def _page_table_vpns():
     return st.one_of(clustered, st.integers(min_value=0, max_value=(1 << 36) - 1))
 
 
+def _live_table_pages(pt):
+    return (pt._pt_pages, pt._pd_pages, pt._pdpt_pages)
+
+
 class TestPageTableVsShadow:
-    """The 4-level radix table must behave exactly like a flat dict."""
+    """The page table must behave exactly like a flat dict, and count its
+    table pages exactly as the radix tree it replaced did."""
 
     @OP_LISTS
     @given(
@@ -66,7 +72,67 @@ class TestPageTableVsShadow:
         assert len(pt) == len(shadow)
         assert dict(pt.all_entries()) == shadow
         if not shadow:
-            assert pt._root == {}
+            assert _live_table_pages(pt) == ({}, {}, {})
+
+    @OP_LISTS
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["set", "clear", "update", "walk"]),
+                _page_table_vpns(),
+                st.integers(min_value=0, max_value=1 << 20),
+                # Narrow ranges, and one as wide as the address space.
+                st.one_of(st.integers(1, 64), st.just(1 << 36)),
+            ),
+            min_size=30,
+            max_size=200,
+        )
+    )
+    def test_matches_radix_shadow(self, ops):
+        pt = PageTable()
+        radix = RadixShadow()
+        for op, vpn, pfn, span in ops:
+            pte = make_present_pte(pfn)
+            if op == "set":
+                assert pt.set_pte(vpn, pte) == radix.set(vpn, pte)
+            elif op == "clear":
+                assert pt.clear_pte(vpn) == radix.clear(vpn)
+            elif op == "update":
+                if radix.walk(vpn) is None:
+                    with pytest.raises(KeyError):
+                        pt.update_pte(vpn, pte)
+                else:
+                    pt.update_pte(vpn, pte)
+                    radix.update(vpn, pte)
+            assert pt.walk(vpn) == radix.walk(vpn)
+            assert len(pt) == radix.count
+            assert list(pt.all_entries()) == radix.all_entries()
+            start = min(vpn, (1 << 36) - span)
+            vr = VirtRange.from_pages(start, span)
+            assert list(pt.entries_in_range(vr)) == radix.entries_in_range(
+                start, start + span
+            )
+            assert pt.table_pages_allocated == radix.table_pages_allocated
+
+    @SETTINGS
+    @given(
+        ops=st.lists(st.tuples(st.booleans(), _page_table_vpns()), max_size=80)
+    )
+    def test_replica_owns_the_radix_node_count(self, ops):
+        """A replica materialized from a table owns one page per node of
+        the radix tree holding the same entries."""
+        pt = ReplicatedPageTable(nodes=2)
+        radix = RadixShadow()
+        for install, vpn in ops:
+            if install:
+                pt.set_pte(vpn, make_present_pte(vpn))
+                radix.set(vpn, make_present_pte(vpn))
+            else:
+                pt.clear_pte(vpn)
+                radix.clear(vpn)
+        replica = pt.local_table(1)
+        assert replica.table_pages_allocated == radix.node_count()
+        assert list(replica.all_entries()) == radix.all_entries()
 
     @SETTINGS
     @given(vpns=st.sets(_page_table_vpns(), max_size=60))
@@ -77,7 +143,7 @@ class TestPageTableVsShadow:
         for vpn in vpns:
             pt.clear_pte(vpn)
         assert len(pt) == 0
-        assert pt._root == {}
+        assert _live_table_pages(pt) == ({}, {}, {})
 
 
 class TestFrameAllocatorProperties:

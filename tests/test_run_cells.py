@@ -13,6 +13,7 @@ from repro.experiments import (
     available_experiments,
     execute_experiment,
     experiment_cells,
+    iter_runs,
     run_experiment,
     run_many,
 )
@@ -104,6 +105,20 @@ class TestSharedCells:
         assert (first.cell.exp_id, second.cell.exp_id) == ("xa", "xb")
         # The shared cell's time and events are billed to the first asker.
         assert (second.wall_s, second.events) == (0.0, 0)
+
+    def test_serial_runs_yield_each_experiment_before_the_next_runs(self, monkeypatch):
+        helpers.MARKER_CALLS.clear()
+        seen = {}
+        exp_ids = ["xa", "xb", "xc"]
+        for exp_id in exp_ids:
+            self._register(monkeypatch, exp_id, seen)
+        runs = iter_runs(exp_ids, fast=True)
+        assert next(runs).exp_id == "xa"
+        assert sorted(helpers.MARKER_CALLS) == ["s", "xa"]
+        assert [run.exp_id for run in runs] == ["xb", "xc"]
+        assert sorted(helpers.MARKER_CALLS) == ["s", "xa", "xb", "xc"]
+        # Each asker's assemble mutated its own value, unseen by the rest.
+        assert seen == {exp_id: [["s"], [exp_id]] for exp_id in exp_ids}
 
     def test_fast_cells_of_all_experiments_are_127_distinct(self):
         # fig1's six Apache cells are fig9 cells; tab4 and tab5 repeat the

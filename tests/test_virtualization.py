@@ -269,7 +269,7 @@ def _host_sig(kernel) -> str:
             sorted(host.gfn_of_pfn.items()),
             sorted(host.generation_of_gfn.items()),
             host.next_gfn,
-            host._count,
+            len(host),
             host.table_pages_allocated,
         ),
         4,
